@@ -2,17 +2,15 @@
 
 use crate::BeamSession;
 use mpr_arch::{Device, WorkloadProfile};
-use mpr_fault::{CampaignError, FaultModel, ValueFault, Workload};
-use mpr_metrics::sampling::{rel_ci_width, Planner, SamplingConfig, SamplingPlan};
+use mpr_fault::executor::{Resolved, Strikes};
+use mpr_fault::{CampaignError, FaultModel, Workload};
+use mpr_metrics::sampling::{rel_ci_width, SamplingPlan};
 use mpr_metrics::{CrossSection, FitRate, Mebf, TreCurve};
-use mpr_obs::{
-    mix_seed, panic_message, CancelToken, Counter, Gauge, Recorder, Timer, NULL_RECORDER,
-};
+use mpr_obs::{mix_seed, CancelToken, Counter, Gauge, Recorder, Timer, NULL_RECORDER};
 use mpr_softfloat::ulp::max_relative_error;
 use mpr_softfloat::Precision;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A classification of one SDC's end-user impact, attached by an
 /// optional domain classifier (MNIST: tolerable/critical; YOLOv3:
@@ -21,22 +19,6 @@ pub type SdcLabel = &'static str;
 
 /// A domain classifier: maps `(golden, faulty)` outputs to an [`SdcLabel`].
 pub type SdcClassifier = dyn Fn(&[f64], &[f64]) -> SdcLabel + Sync;
-
-/// An SDC observation tagged with its strike index.
-type Observation = (u64, f64, Option<SdcLabel>);
-
-/// What a resolution pass (fixed or adaptive) hands back to `try_run`.
-struct Resolved {
-    /// Index-sorted SDC observations.
-    observed: Vec<Observation>,
-    /// Summed worker-busy seconds.
-    busy_total: f64,
-    /// Strikes actually executed.
-    executed: u64,
-    /// Stratified per-strike SDC rate (adaptive only): the unbiased
-    /// `sum_h W_h * e_h / n_h` estimate the cross section is scaled by.
-    rate: Option<f64>,
-}
 
 /// One beam campaign: device x workload x precision x session.
 pub struct BeamCampaign<'a> {
@@ -199,6 +181,10 @@ impl<'a> BeamCampaign<'a> {
     /// panics as structured errors instead of unwinding. On `Err` all
     /// partial work is discarded; a retried campaign with the same seed
     /// is byte-identical to an untroubled first run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the workload exposes no fault sites.
     pub fn try_run(&self) -> Result<CampaignResult, CampaignError> {
         let rec = self.recorder;
         let wall = Timer::start(rec, "campaign.wall", self.scope.clone());
@@ -219,8 +205,6 @@ impl<'a> BeamCampaign<'a> {
                 &golden_owned
             }
         };
-        let golden_bits: Vec<u64> = golden.iter().map(|v| v.to_bits()).collect();
-        let sites = self.workload.site_count(self.precision);
         let width = self.precision.total_bits();
         let model = FaultModel::pipeline(exposure.pipeline_fraction);
         // Strike-fate model, hoisted out of the strike loop (the device
@@ -239,32 +223,51 @@ impl<'a> BeamCampaign<'a> {
             n => n,
         }
         .min(candidates.max(1) as usize);
-        let resolved = match self.sampling {
-            SamplingPlan::Fixed => self.resolve_fixed(
-                candidates,
-                nthreads,
-                sites,
-                width,
-                model,
-                persistent,
-                golden,
-                &golden_bits,
-            ),
-            SamplingPlan::Adaptive(config) => self.resolve_adaptive(
-                config,
-                candidates,
-                nthreads,
-                sites,
-                width,
-                model,
-                persistent,
-                golden,
-                &golden_bits,
-            ),
+        let strikes = Strikes {
+            workload: self.workload,
+            precision: self.precision,
+            golden,
+            seed: self.session.seed,
+            sites: self.workload.site_count(self.precision),
+            threads: nthreads,
+            strike_batch: self.strike_batch,
+            cancel: &self.cancel,
+            recorder: rec,
+            busy_metric: "beam.worker_busy",
+            scope: &self.scope,
         };
+        let classifier = self.classifier;
+        let resolved = strikes.resolve(
+            self.sampling,
+            candidates,
+            |rng| {
+                Some(if persistent {
+                    // FPGA configuration strike: a LUT or routing pip of
+                    // one processing element is rewired into a stuck-at
+                    // function. The fault is persistent but only
+                    // *sensitized* by the operand patterns that exercise
+                    // the corrupted cone — modeled as a stuck bit on one
+                    // operation slot; values already agreeing with the
+                    // stuck level are untouched (the dominant
+                    // configuration-upset masking mechanism). The paper
+                    // reprograms the device at each observed error, and
+                    // runs are deterministic, so one run decides the
+                    // strike's fate.
+                    FaultModel::StuckBit.sample(width, rng)
+                } else {
+                    // Transient strike in a register / datapath value of
+                    // a live execution.
+                    model.sample(width, rng)
+                })
+            },
+            |out| {
+                let label = classifier.map(|classify| classify(golden, out));
+                (max_relative_error(out, golden), label)
+            },
+        );
         let Resolved {
             observed,
-            busy_total,
+            busy_s,
             executed,
             rate,
         } = match resolved {
@@ -275,28 +278,17 @@ impl<'a> BeamCampaign<'a> {
             }
         };
         let sdc_events = observed.len() as u64;
-        let severities: Vec<f64> = observed.iter().map(|&(_, s, _)| s).collect();
-        let labels: Vec<SdcLabel> = observed.iter().filter_map(|&(_, _, l)| l).collect();
+        let severities: Vec<f64> = observed.iter().map(|&(s, _)| s).collect();
+        let labels: Vec<SdcLabel> = observed.iter().filter_map(|&(_, l)| l).collect();
 
         Counter::new(rec, "beam.candidates", &self.scope).add(candidates);
         Counter::new(rec, "beam.executed", &self.scope).add(executed);
         Counter::new(rec, "beam.sdc", &self.scope).add(sdc_events);
         Counter::new(rec, "beam.due", &self.scope).add(due_events);
-        // The masked tally covers the executed strikes only, and DUEs
-        // come out of it rather than hiding inside it (they used to be
-        // counted as masked). The DUE cross section is drawn from an
-        // independent control-logic exposure, so in rare quick-scale
-        // sessions the draw exceeds the quiet pool — the tally clamps
-        // so the fates always partition the executed strikes.
-        let quiet = executed - sdc_events;
-        let due_tally = due_events.min(quiet);
-        let masked = quiet - due_tally;
-        assert_eq!(
-            masked + sdc_events + due_tally,
-            executed,
-            "strike fates must sum to the executed strikes"
-        );
-        Counter::new(rec, "beam.masked", &self.scope).add(masked);
+        // Masked and SDC partition the executed strikes. DUEs are their
+        // own ledger: they come from an independent control-logic
+        // exposure, not from the executed compute strikes.
+        Counter::new(rec, "beam.masked", &self.scope).add(executed - sdc_events);
         Counter::new(rec, "beam.strikes_saved", &self.scope)
             .add(candidates.saturating_sub(executed));
         let width_now = rel_ci_width(sdc_events);
@@ -309,7 +301,7 @@ impl<'a> BeamCampaign<'a> {
             // two diverge and the old formula overstated throughput.
             Gauge::new(rec, "beam.strikes_per_s", &self.scope).set(executed as f64 / wall_s);
             Gauge::new(rec, "beam.utilization", &self.scope)
-                .set(busy_total / (nthreads as f64 * wall_s));
+                .set(busy_s / (nthreads as f64 * wall_s));
         }
 
         // The SDC cross section always reads `events / fluence`. On the
@@ -349,348 +341,6 @@ impl<'a> BeamCampaign<'a> {
             severities,
             labels,
         })
-    }
-
-    /// The reference oracle: every candidate strike executes, sites
-    /// drawn uniformly over the whole space. Byte-identical to the
-    /// pre-adaptive driver.
-    #[allow(clippy::too_many_arguments)]
-    fn resolve_fixed(
-        &self,
-        candidates: u64,
-        nthreads: usize,
-        sites: u64,
-        width: u32,
-        model: FaultModel,
-        persistent: bool,
-        golden: &[f64],
-        golden_bits: &[u64],
-    ) -> Result<Resolved, CampaignError> {
-        let rec = self.recorder;
-        // Workers take strikes in a thread stride, so each partial holds
-        // an interleaved subsequence. Every observation is tagged with
-        // its strike index and the merge sorts on it: severities and
-        // labels come out in strike order for *any* thread count.
-        let mut partials: Vec<(Vec<Observation>, f64)> = Vec::new();
-        // Set by a worker only when it actually bailed out early, so a
-        // deadline that expires just after the last strike completes
-        // does not spuriously cancel a finished campaign.
-        let aborted = AtomicBool::new(false);
-        let mut worker_panic: Option<String> = None;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for t in 0..nthreads {
-                let golden = &golden;
-                let golden_bits = &golden_bits;
-                let campaign = &*self;
-                let aborted = &aborted;
-                handles.push(scope.spawn(move || {
-                    let busy = Timer::start(rec, "beam.worker_busy", campaign.scope.clone());
-                    let mut observed = Vec::new();
-                    // Strike batch, hoisted out of the loop so the
-                    // gather/execute phases reuse one allocation each.
-                    let mut batch: Vec<(u64, ValueFault)> =
-                        Vec::with_capacity(campaign.strike_batch);
-                    let mut indices: Vec<u64> = Vec::with_capacity(campaign.strike_batch);
-                    let mut i = t as u64;
-                    let mut bailed = false;
-                    while i < candidates && !bailed {
-                        // Watchdog poll at the batch boundary (and again
-                        // inside the execute callback after each strike).
-                        if campaign.cancel.is_cancelled() {
-                            aborted.store(true, Ordering::Relaxed);
-                            break;
-                        }
-                        // Gather phase: draw each strike's (site, fault)
-                        // from its own per-strike stream — derived
-                        // through the shared splitmix64 avalanche, so
-                        // adjacent strikes get unrelated seeds (the old
-                        // `seed * C ^ i` gave correlated streams). The
-                        // draw order per strike is unchanged from the
-                        // strike-at-a-time loop, so every campaign is
-                        // byte-identical for any batch size (DT001).
-                        batch.clear();
-                        indices.clear();
-                        while i < candidates && batch.len() < campaign.strike_batch {
-                            let mut rng = StdRng::seed_from_u64(mix_seed(campaign.session.seed, i));
-                            batch.push(
-                                campaign.draw_strike(sites, width, model, persistent, &mut rng),
-                            );
-                            indices.push(i);
-                            i += nthreads as u64;
-                        }
-                        // Execute phase: one kernel pass over the whole
-                        // batch; results arrive in region order and are
-                        // keyed back to their strike index.
-                        campaign.workload.run_strike_batch(
-                            campaign.precision,
-                            &batch,
-                            golden,
-                            &mut |b, out| {
-                                let corrupted = out.len() != golden.len()
-                                    || out.iter().zip(*golden_bits).any(|(v, &g)| v.to_bits() != g);
-                                if corrupted {
-                                    let severity = max_relative_error(out, golden);
-                                    let label =
-                                        campaign.classifier.map(|classify| classify(golden, out));
-                                    // mpr-allow: panic-reachability -- the batch contract keys callbacks by batch position (`b < batch.len() == indices.len()`); an out-of-range `b` is a workload-override bug the differential tests pin, not a recoverable strike failure
-                                    observed.push((indices[b], severity, label));
-                                }
-                                if campaign.cancel.is_cancelled() {
-                                    bailed = true;
-                                    return false;
-                                }
-                                true
-                            },
-                        );
-                        if bailed {
-                            aborted.store(true, Ordering::Relaxed);
-                        }
-                    }
-                    (observed, busy.stop())
-                }));
-            }
-            for h in handles {
-                // Every handle is joined even after a panic or abort —
-                // the scope never re-raises, and the payload feeds the
-                // structured failure path instead of a backtrace.
-                match h.join() {
-                    Ok(p) => partials.push(p),
-                    Err(payload) => worker_panic = Some(panic_message(payload)),
-                }
-            }
-        });
-
-        if let Some(msg) = worker_panic {
-            return Err(CampaignError::WorkerPanic(msg));
-        }
-        if aborted.load(Ordering::Relaxed) {
-            return Err(CampaignError::Cancelled);
-        }
-
-        let mut busy_total = 0.0;
-        let mut observed: Vec<Observation> = Vec::new();
-        for (obs, busy) in partials {
-            observed.extend(obs);
-            busy_total += busy;
-        }
-        observed.sort_by_key(|&(i, _, _)| i);
-        Ok(Resolved {
-            observed,
-            busy_total,
-            executed: candidates,
-            rate: None,
-        })
-    }
-
-    /// The adaptive path: strikes execute in fixed-size decision rounds.
-    /// Between rounds the planner recomputes the CI width and the next
-    /// round's Neyman allocation from the merged, index-sorted tallies
-    /// of completed rounds only — never wall-clock, worker id, or
-    /// arrival order — so any thread count and any strike batch produce
-    /// byte-identical results (DT001, DESIGN.md §4k).
-    #[allow(clippy::too_many_arguments)]
-    fn resolve_adaptive(
-        &self,
-        config: SamplingConfig,
-        candidates: u64,
-        nthreads: usize,
-        sites: u64,
-        width: u32,
-        model: FaultModel,
-        persistent: bool,
-        golden: &[f64],
-        golden_bits: &[u64],
-    ) -> Result<Resolved, CampaignError> {
-        let rec = self.recorder;
-        let mut planner = Planner::new(sites, candidates, config);
-        let bounds: Vec<(u64, u64)> = planner.bounds().to_vec();
-        let strata = bounds.len();
-        let mut all_observed: Vec<Observation> = Vec::new();
-        let mut busy_total = 0.0;
-        // Global strike index of the next round's slot 0. Per-strike RNG
-        // streams stay keyed by this global index, exactly like the
-        // fixed path's streams — only the site draw is stratified.
-        let mut round_base = 0u64;
-        while let Some(schedule) = planner.next_round() {
-            let slots = schedule.len() as u64;
-            if slots == 0 {
-                break;
-            }
-            let round_threads = nthreads.min(slots as usize).max(1);
-            let mut partials: Vec<(Vec<Observation>, f64)> = Vec::new();
-            let aborted = AtomicBool::new(false);
-            let mut worker_panic: Option<String> = None;
-            std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for t in 0..round_threads {
-                    let golden = &golden;
-                    let golden_bits = &golden_bits;
-                    let schedule = &schedule;
-                    let bounds = &bounds;
-                    let campaign = &*self;
-                    let aborted = &aborted;
-                    handles.push(scope.spawn(move || {
-                        let busy = Timer::start(rec, "beam.worker_busy", campaign.scope.clone());
-                        let mut observed = Vec::new();
-                        let mut batch: Vec<(u64, ValueFault)> =
-                            Vec::with_capacity(campaign.strike_batch);
-                        let mut indices: Vec<u64> = Vec::with_capacity(campaign.strike_batch);
-                        let mut s = t as u64;
-                        let mut bailed = false;
-                        while s < slots && !bailed {
-                            if campaign.cancel.is_cancelled() {
-                                aborted.store(true, Ordering::Relaxed);
-                                break;
-                            }
-                            batch.clear();
-                            indices.clear();
-                            while s < slots && batch.len() < campaign.strike_batch {
-                                let i = round_base + s;
-                                let mut rng =
-                                    StdRng::seed_from_u64(mix_seed(campaign.session.seed, i));
-                                // mpr-allow: panic-reachability -- the planner emits schedule entries that index its own bounds table (`schedule[..] < bounds.len()`, `s < slots == schedule.len()`); a violation is a planner bug the sampling unit tests pin, not a recoverable strike failure
-                                let (lo, len) = bounds[schedule[s as usize]];
-                                batch.push(campaign.draw_stratified_strike(
-                                    lo, len, width, model, persistent, &mut rng,
-                                ));
-                                indices.push(i);
-                                s += round_threads as u64;
-                            }
-                            campaign.workload.run_strike_batch(
-                                campaign.precision,
-                                &batch,
-                                golden,
-                                &mut |b, out| {
-                                    let corrupted = out.len() != golden.len()
-                                        || out
-                                            .iter()
-                                            .zip(*golden_bits)
-                                            .any(|(v, &g)| v.to_bits() != g);
-                                    if corrupted {
-                                        let severity = max_relative_error(out, golden);
-                                        let label = campaign
-                                            .classifier
-                                            .map(|classify| classify(golden, out));
-                                        // mpr-allow: panic-reachability -- same batch contract as the fixed path: `b` is always in range
-                                        observed.push((indices[b], severity, label));
-                                    }
-                                    if campaign.cancel.is_cancelled() {
-                                        bailed = true;
-                                        return false;
-                                    }
-                                    true
-                                },
-                            );
-                            if bailed {
-                                aborted.store(true, Ordering::Relaxed);
-                            }
-                        }
-                        (observed, busy.stop())
-                    }));
-                }
-                for h in handles {
-                    match h.join() {
-                        Ok(p) => partials.push(p),
-                        Err(payload) => worker_panic = Some(panic_message(payload)),
-                    }
-                }
-            });
-            if let Some(msg) = worker_panic {
-                return Err(CampaignError::WorkerPanic(msg));
-            }
-            if aborted.load(Ordering::Relaxed) {
-                return Err(CampaignError::Cancelled);
-            }
-
-            let mut round_obs: Vec<Observation> = Vec::new();
-            for (obs, busy) in partials {
-                round_obs.extend(obs);
-                busy_total += busy;
-            }
-            round_obs.sort_by_key(|&(i, _, _)| i);
-            // Commit the round: per-stratum strike and event tallies,
-            // recovered from the schedule by strike index.
-            let mut executed_by = vec![0u64; strata];
-            for &h in &schedule {
-                // mpr-allow: panic-reachability -- schedule entries index the planner's own bounds table; a violation is a planner bug the sampling unit tests pin
-                executed_by[h] += 1;
-            }
-            let mut events_by = vec![0u64; strata];
-            for &(i, _, _) in &round_obs {
-                // mpr-allow: panic-reachability -- every observation index lies in this round's slot range (`round_base..round_base + slots`) by construction
-                events_by[schedule[(i - round_base) as usize]] += 1;
-            }
-            planner.complete_round(&executed_by, &events_by);
-            all_observed.extend(round_obs);
-            round_base += slots;
-        }
-        Ok(Resolved {
-            observed: all_observed,
-            busy_total,
-            executed: planner.executed(),
-            rate: Some(planner.weighted_rate()),
-        })
-    }
-
-    /// Draws one compute strike's `(site, fault)` pair from its
-    /// per-strike stream; execution happens in the batched kernel pass.
-    fn draw_strike(
-        &self,
-        sites: u64,
-        width: u32,
-        model: FaultModel,
-        persistent: bool,
-        rng: &mut StdRng,
-    ) -> (u64, ValueFault) {
-        let site = rng.gen_range(0..sites);
-        let fault = Self::draw_fault(width, model, persistent, rng);
-        (site, fault)
-    }
-
-    /// Draws one stratified strike: the site is confined to the
-    /// stratum's `(lo, len)` range, the fault shape draw is unchanged.
-    /// An empty stratum (more strata than sites) degrades to the
-    /// past-the-end site `lo`, where the fault never fires — the
-    /// planner never schedules zero-weight strata, so this is purely
-    /// defensive.
-    fn draw_stratified_strike(
-        &self,
-        lo: u64,
-        len: u64,
-        width: u32,
-        model: FaultModel,
-        persistent: bool,
-        rng: &mut StdRng,
-    ) -> (u64, ValueFault) {
-        let site = if len == 0 {
-            lo
-        } else {
-            lo + rng.gen_range(0..len)
-        };
-        let fault = Self::draw_fault(width, model, persistent, rng);
-        (site, fault)
-    }
-
-    /// Draws the fault shape for one strike from its per-strike stream.
-    fn draw_fault(width: u32, model: FaultModel, persistent: bool, rng: &mut StdRng) -> ValueFault {
-        if persistent {
-            // FPGA configuration strike: a LUT or routing pip of one
-            // processing element is rewired into a stuck-at function.
-            // The fault is persistent but only *sensitized* by the
-            // operand patterns that exercise the corrupted cone —
-            // modeled as a stuck bit on one operation slot; values
-            // already agreeing with the stuck level are untouched
-            // (the dominant configuration-upset masking mechanism).
-            // The paper reprograms the device at each observed
-            // error, and runs are deterministic, so one run decides
-            // the strike's fate.
-            FaultModel::StuckBit.sample(width, rng)
-        } else {
-            // Transient strike in a register / datapath value of a
-            // live execution.
-            model.sample(width, rng)
-        }
     }
 }
 
@@ -940,6 +590,52 @@ mod tests {
             .try_run()
             .expect_err("campaign must report cancellation");
         assert_eq!(err, CampaignError::Cancelled);
+    }
+
+    /// A workload whose every strike panics, exposing `sites` sites.
+    #[derive(Debug)]
+    struct Exploding {
+        sites: u64,
+    }
+
+    impl Workload for Exploding {
+        fn name(&self) -> &str {
+            "exploding"
+        }
+        fn dispatch(&self, _p: Precision, _hook: &mut dyn mpr_fault::hook::FaultHook) -> Vec<f64> {
+            panic!("strike handler exploded")
+        }
+        fn site_count(&self, _p: Precision) -> u64 {
+            self.sites
+        }
+    }
+
+    #[test]
+    fn worker_panic_becomes_structured_error() {
+        let gpu = VoltaGpu::titan_v();
+        let profile = profiles::micro(MicroKernelOp::Add);
+        let golden = [0.0];
+        let err = BeamCampaign::new(&gpu, &Exploding { sites: 8 }, &profile, Precision::Single)
+            .session(BeamSession::quick(5).with_target_candidates(120))
+            .golden(&golden)
+            .try_run()
+            .expect_err("campaign must report the panic");
+        assert_eq!(
+            err,
+            CampaignError::WorkerPanic("strike handler exploded".to_string())
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "workload exposes no fault sites")]
+    fn zero_site_workload_rejected() {
+        let gpu = VoltaGpu::titan_v();
+        let profile = profiles::micro(MicroKernelOp::Add);
+        let golden = [0.0];
+        let _ = BeamCampaign::new(&gpu, &Exploding { sites: 0 }, &profile, Precision::Single)
+            .session(BeamSession::quick(5).with_target_candidates(120))
+            .golden(&golden)
+            .try_run();
     }
 
     #[test]

@@ -1,16 +1,13 @@
 //! Seeded, parallel fault-injection campaigns.
 
-use crate::{FaultModel, Workload};
-use mpr_metrics::sampling::{rel_ci_width, Planner, SamplingConfig, SamplingPlan};
-use mpr_metrics::{Outcome, OutcomeCounts, TreCurve, Vulnerability};
-use mpr_obs::{
-    mix_seed, panic_message, CancelToken, Counter, Gauge, Recorder, Timer, NULL_RECORDER,
-};
+use crate::executor::{Resolved, Strikes};
+use crate::{FaultModel, ValueFault, Workload};
+use mpr_metrics::sampling::{rel_ci_width, SamplingPlan};
+use mpr_metrics::{OutcomeCounts, TreCurve, Vulnerability};
+use mpr_obs::{CancelToken, Counter, Gauge, Recorder, Timer, NULL_RECORDER};
 use mpr_softfloat::ulp::max_relative_error;
 use mpr_softfloat::Precision;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicBool, Ordering};
+use rand::Rng;
 
 /// Why a campaign driver failed to produce a report.
 ///
@@ -265,6 +262,10 @@ impl<'a> InjectionCampaign<'a> {
     /// panics as structured errors instead of unwinding. On `Err` all
     /// partial work is discarded; a retried campaign with the same seed
     /// is byte-identical to an untroubled first run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the workload exposes no fault sites.
     pub fn try_run(&self) -> Result<InjectionReport, CampaignError> {
         let rec = self.recorder;
         let wall = Timer::start(rec, "campaign.wall", self.scope.clone());
@@ -276,28 +277,52 @@ impl<'a> InjectionCampaign<'a> {
                 &golden_owned
             }
         };
-        let golden_bits: Vec<u64> = golden.iter().map(|v| v.to_bits()).collect();
-        let sites = self.workload.site_count(self.precision);
-        assert!(sites > 0, "workload exposes no fault sites");
         let width = self.precision.total_bits();
 
-        // Partition the injection indices across worker threads; each
-        // injection derives its own RNG from (seed, index) so the result
-        // is independent of the thread count.
+        // Each injection derives its own RNG from (seed, index), so the
+        // result is independent of the thread count.
         let nthreads = self.threads.min(self.injections.max(1) as usize);
-        let resolved = match self.sampling {
-            SamplingPlan::Fixed => self.resolve_fixed(nthreads, sites, width, golden, &golden_bits),
-            SamplingPlan::Adaptive(config) => {
-                self.resolve_adaptive(config, nthreads, sites, width, golden, &golden_bits)
-            }
+        let strikes = Strikes {
+            workload: self.workload,
+            precision: self.precision,
+            golden,
+            seed: self.seed,
+            sites: self.workload.site_count(self.precision),
+            threads: nthreads,
+            strike_batch: self.strike_batch,
+            cancel: &self.cancel,
+            recorder: rec,
+            busy_metric: "inject.worker_busy",
+            scope: &self.scope,
         };
-        let (counts, severities, busy_total, executed) = match resolved {
+        let resolved = strikes.resolve(
+            self.sampling,
+            self.injections,
+            |rng| {
+                let fault = self.model.sample(width, rng);
+                // A flip in a dead or stale register is trivially masked.
+                let dead = matches!(fault, ValueFault::BitFlip(_))
+                    && self.live_fraction < 1.0
+                    && !rng.gen_bool(self.live_fraction);
+                (!dead).then_some(fault)
+            },
+            |out| max_relative_error(out, golden),
+        );
+        let Resolved {
+            observed: severities,
+            busy_s,
+            executed,
+            ..
+        } = match resolved {
             Ok(r) => r,
             Err(e) => {
                 wall.cancel();
                 return Err(e);
             }
         };
+        // Every executed injection is an SDC or masked.
+        let sdc = severities.len() as u64;
+        let counts = OutcomeCounts::new(executed - sdc, sdc, 0);
 
         Counter::new(rec, "inject.injections", &self.scope).add(self.injections);
         Counter::new(rec, "inject.executed", &self.scope).add(executed);
@@ -317,7 +342,7 @@ impl<'a> InjectionCampaign<'a> {
             // injections it never ran.
             Gauge::new(rec, "inject.strikes_per_s", &self.scope).set(executed as f64 / wall_s);
             Gauge::new(rec, "inject.utilization", &self.scope)
-                .set(busy_total / (nthreads as f64 * wall_s));
+                .set(busy_s / (nthreads as f64 * wall_s));
         }
 
         Ok(InjectionReport {
@@ -326,313 +351,6 @@ impl<'a> InjectionCampaign<'a> {
             counts,
             severities,
         })
-    }
-
-    /// Fixed-budget resolution: every requested injection executes.
-    /// Returns `(counts, sorted severities, busy seconds, executed)`.
-    fn resolve_fixed(
-        &self,
-        nthreads: usize,
-        sites: u64,
-        width: u32,
-        golden: &[f64],
-        golden_bits: &[u64],
-    ) -> Result<(OutcomeCounts, Vec<f64>, f64, u64), CampaignError> {
-        // Workers take injections in a thread stride; each SDC severity
-        // is tagged with its injection index and the merge sorts on it,
-        // so the severity vector is in injection order for *any* thread
-        // count.
-        // One worker's result: outcome tallies, index-tagged SDC
-        // severities, and busy seconds.
-        type WorkerPartial = (OutcomeCounts, Vec<(u64, f64)>, f64);
-        let mut partials: Vec<WorkerPartial> = Vec::new();
-        // Set by a worker only when it actually bailed out early, so a
-        // deadline that expires just after the last strike completes
-        // does not spuriously cancel a finished campaign.
-        let aborted = AtomicBool::new(false);
-        let mut worker_panic: Option<String> = None;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for t in 0..nthreads {
-                let campaign = &*self;
-                let aborted = &aborted;
-                handles.push(scope.spawn(move || {
-                    let busy = Timer::start(
-                        campaign.recorder,
-                        "inject.worker_busy",
-                        campaign.scope.clone(),
-                    );
-                    let mut counts = OutcomeCounts::default();
-                    let mut severities = Vec::new();
-                    // Gathered live strikes plus their injection indices,
-                    // reused across batches.
-                    let mut batch: Vec<(u64, crate::ValueFault)> =
-                        Vec::with_capacity(campaign.strike_batch);
-                    let mut indices: Vec<u64> = Vec::with_capacity(campaign.strike_batch);
-                    let mut i = t as u64;
-                    while i < campaign.injections {
-                        // Watchdog poll at batch boundaries; slow
-                        // workloads keep per-strike granularity through
-                        // the callback's return value below.
-                        if campaign.cancel.is_cancelled() {
-                            aborted.store(true, Ordering::Relaxed);
-                            break;
-                        }
-                        // Gather phase: draw up to `strike_batch` live
-                        // strikes. Per-injection streams are derived
-                        // through the shared splitmix64 avalanche from
-                        // (seed, index) — batching regroups execution,
-                        // never the draws, so results are independent of
-                        // the batch size and the thread count alike.
-                        batch.clear();
-                        indices.clear();
-                        while i < campaign.injections && batch.len() < campaign.strike_batch {
-                            let mut rng = StdRng::seed_from_u64(mix_seed(campaign.seed, i));
-                            let site = rng.gen_range(0..sites);
-                            let fault = campaign.model.sample(width, &mut rng);
-                            let dead = matches!(fault, crate::ValueFault::BitFlip(_))
-                                && campaign.live_fraction < 1.0
-                                && !rng.gen_bool(campaign.live_fraction);
-                            if dead {
-                                counts.record(Outcome::Masked);
-                            } else {
-                                batch.push((site, fault));
-                                indices.push(i);
-                            }
-                            i += nthreads as u64;
-                        }
-                        if batch.is_empty() {
-                            continue;
-                        }
-                        // Execute phase: the workload amortizes golden
-                        // replays across the batch and reports each
-                        // strike (in any order) through the callback;
-                        // classification is keyed on the injection
-                        // index, so outcome bytes cannot depend on
-                        // arrival order (byte-identical to the
-                        // strike-at-a-time path, per the Workload
-                        // contract).
-                        let mut bailed = false;
-                        campaign.workload.run_strike_batch(
-                            campaign.precision,
-                            &batch,
-                            golden,
-                            &mut |b, out| {
-                                let corrupted = out.len() != golden.len()
-                                    || out.iter().zip(golden_bits).any(|(v, &g)| v.to_bits() != g);
-                                if corrupted {
-                                    counts.record(Outcome::Sdc);
-                                    // mpr-allow: panic-reachability -- the batch contract keys callbacks by batch position (`b < batch.len() == indices.len()`); an out-of-range `b` is a workload-override bug the differential tests pin, not a recoverable strike failure
-                                    severities.push((indices[b], max_relative_error(out, golden)));
-                                } else {
-                                    counts.record(Outcome::Masked);
-                                }
-                                if campaign.cancel.is_cancelled() {
-                                    bailed = true;
-                                    return false;
-                                }
-                                true
-                            },
-                        );
-                        if bailed {
-                            aborted.store(true, Ordering::Relaxed);
-                            break;
-                        }
-                    }
-                    (counts, severities, busy.stop())
-                }));
-            }
-            for h in handles {
-                // Every handle is joined even after a panic or abort —
-                // the scope never re-raises, and the payload feeds the
-                // structured failure path instead of a backtrace.
-                match h.join() {
-                    Ok(p) => partials.push(p),
-                    Err(payload) => worker_panic = Some(panic_message(payload)),
-                }
-            }
-        });
-
-        if let Some(msg) = worker_panic {
-            return Err(CampaignError::WorkerPanic(msg));
-        }
-        if aborted.load(Ordering::Relaxed) {
-            return Err(CampaignError::Cancelled);
-        }
-
-        let mut counts = OutcomeCounts::default();
-        let mut busy_total = 0.0;
-        let mut tagged: Vec<(u64, f64)> = Vec::new();
-        for (c, s, busy) in partials {
-            counts.merge(c);
-            tagged.extend(s);
-            busy_total += busy;
-        }
-        tagged.sort_by_key(|&(i, _)| i);
-        let severities: Vec<f64> = tagged.into_iter().map(|(_, s)| s).collect();
-        Ok((counts, severities, busy_total, self.injections))
-    }
-
-    /// Adaptive resolution: injections execute in planner rounds over
-    /// stratified site ranges; after each round the per-stratum Neyman
-    /// weights and the stopping rule are recomputed from the merged
-    /// round statistics. Every adaptive decision is a pure function of
-    /// completed-round tallies keyed by injection index — never
-    /// wall-clock, worker identity, or arrival order — so schedules and
-    /// result bytes are identical for every thread count and strike
-    /// batch (DT001).
-    fn resolve_adaptive(
-        &self,
-        config: SamplingConfig,
-        nthreads: usize,
-        sites: u64,
-        width: u32,
-        golden: &[f64],
-        golden_bits: &[u64],
-    ) -> Result<(OutcomeCounts, Vec<f64>, f64, u64), CampaignError> {
-        let mut planner = Planner::new(sites, self.injections, config);
-        let bounds = planner.bounds().to_vec();
-        let mut counts = OutcomeCounts::default();
-        let mut tagged: Vec<(u64, f64)> = Vec::new();
-        let mut busy_total = 0.0;
-        let mut round_base = 0u64;
-        while let Some(schedule) = planner.next_round() {
-            let slots = schedule.len();
-            let round_threads = nthreads.min(slots).max(1);
-            type WorkerPartial = (OutcomeCounts, Vec<(u64, f64)>, f64);
-            let mut partials: Vec<WorkerPartial> = Vec::new();
-            let aborted = AtomicBool::new(false);
-            let mut worker_panic: Option<String> = None;
-            std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for t in 0..round_threads {
-                    let campaign = &*self;
-                    let aborted = &aborted;
-                    let schedule = &schedule;
-                    let bounds = &bounds;
-                    handles.push(scope.spawn(move || {
-                        let busy = Timer::start(
-                            campaign.recorder,
-                            "inject.worker_busy",
-                            campaign.scope.clone(),
-                        );
-                        let mut counts = OutcomeCounts::default();
-                        let mut severities = Vec::new();
-                        let mut batch: Vec<(u64, crate::ValueFault)> =
-                            Vec::with_capacity(campaign.strike_batch);
-                        let mut indices: Vec<u64> = Vec::with_capacity(campaign.strike_batch);
-                        // Workers stride over the round's schedule slots;
-                        // the global injection index (round base + slot)
-                        // seeds the per-strike RNG exactly like the fixed
-                        // path does.
-                        let mut s = t;
-                        while s < slots {
-                            if campaign.cancel.is_cancelled() {
-                                aborted.store(true, Ordering::Relaxed);
-                                break;
-                            }
-                            batch.clear();
-                            indices.clear();
-                            while s < slots && batch.len() < campaign.strike_batch {
-                                let idx = round_base + s as u64;
-                                let mut rng = StdRng::seed_from_u64(mix_seed(campaign.seed, idx));
-                                // mpr-allow: panic-reachability -- the planner emits schedule entries that index its own bounds table (`schedule[..] < bounds.len()`, `s < slots == schedule.len()`); a violation is a planner bug the sampling unit tests pin, not a recoverable strike failure
-                                let (lo, len) = bounds[schedule[s]];
-                                let site = if len == 0 {
-                                    lo
-                                } else {
-                                    lo + rng.gen_range(0..len)
-                                };
-                                let fault = campaign.model.sample(width, &mut rng);
-                                let dead = matches!(fault, crate::ValueFault::BitFlip(_))
-                                    && campaign.live_fraction < 1.0
-                                    && !rng.gen_bool(campaign.live_fraction);
-                                if dead {
-                                    counts.record(Outcome::Masked);
-                                } else {
-                                    batch.push((site, fault));
-                                    indices.push(idx);
-                                }
-                                s += round_threads;
-                            }
-                            if batch.is_empty() {
-                                continue;
-                            }
-                            let mut bailed = false;
-                            campaign.workload.run_strike_batch(
-                                campaign.precision,
-                                &batch,
-                                golden,
-                                &mut |b, out| {
-                                    let corrupted = out.len() != golden.len()
-                                        || out
-                                            .iter()
-                                            .zip(golden_bits)
-                                            .any(|(v, &g)| v.to_bits() != g);
-                                    if corrupted {
-                                        counts.record(Outcome::Sdc);
-                                        let sev = max_relative_error(out, golden);
-                                        // mpr-allow: panic-reachability -- the batch contract keys callbacks by batch position (`b < batch.len() == indices.len()`); an out-of-range `b` is a workload-override bug the differential tests pin, not a recoverable strike failure
-                                        severities.push((indices[b], sev));
-                                    } else {
-                                        counts.record(Outcome::Masked);
-                                    }
-                                    if campaign.cancel.is_cancelled() {
-                                        bailed = true;
-                                        return false;
-                                    }
-                                    true
-                                },
-                            );
-                            if bailed {
-                                aborted.store(true, Ordering::Relaxed);
-                                break;
-                            }
-                        }
-                        (counts, severities, busy.stop())
-                    }));
-                }
-                for h in handles {
-                    match h.join() {
-                        Ok(p) => partials.push(p),
-                        Err(payload) => worker_panic = Some(panic_message(payload)),
-                    }
-                }
-            });
-
-            if let Some(msg) = worker_panic {
-                return Err(CampaignError::WorkerPanic(msg));
-            }
-            if aborted.load(Ordering::Relaxed) {
-                return Err(CampaignError::Cancelled);
-            }
-
-            let mut round_sev: Vec<(u64, f64)> = Vec::new();
-            for (c, s, busy) in partials {
-                counts.merge(c);
-                round_sev.extend(s);
-                busy_total += busy;
-            }
-            // Per-stratum round tallies: every scheduled slot executed
-            // (a cancelled round returns above), and each SDC maps back
-            // to its stratum through the schedule slot it ran in.
-            let mut executed_by = vec![0u64; bounds.len()];
-            for &h in schedule.iter() {
-                // mpr-allow: panic-reachability -- schedule entries index the planner's own bounds table; a violation is a planner bug the sampling unit tests pin
-                executed_by[h] += 1;
-            }
-            let mut events_by = vec![0u64; bounds.len()];
-            for &(idx, _) in &round_sev {
-                // mpr-allow: panic-reachability -- every severity index lies in this round's slot range (`round_base..round_base + slots`) by construction
-                events_by[schedule[(idx - round_base) as usize]] += 1;
-            }
-            planner.complete_round(&executed_by, &events_by);
-            tagged.extend(round_sev);
-            round_base += slots as u64;
-        }
-        tagged.sort_by_key(|&(i, _)| i);
-        let severities: Vec<f64> = tagged.into_iter().map(|(_, s)| s).collect();
-        Ok((counts, severities, busy_total, planner.executed()))
     }
 }
 

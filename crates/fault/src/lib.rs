@@ -19,6 +19,9 @@
 //! * [`InjectionCampaign`] — N seeded injections (parallelized with
 //!   std::thread::scope), producing outcome counts, AVF/PVF estimates, and the
 //!   per-SDC severity list that feeds the TRE analysis.
+//! * [`executor`] — the one threaded strike loop behind both the
+//!   injection campaign and the `mpr-beam` exposure driver, under fixed
+//!   and adaptive budgets alike.
 //!
 //! # Example
 //!
@@ -66,6 +69,7 @@
 #![deny(missing_debug_implementations)]
 
 mod campaign;
+pub mod executor;
 pub mod hook;
 pub mod hostile;
 mod model;

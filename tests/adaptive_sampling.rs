@@ -10,7 +10,9 @@
 //! 1. adaptive campaigns (beam and inject) swept over threads 1/2/5 x
 //!    strike batches 1/7/64, compared bit-for-bit;
 //! 2. the fixed path re-asserted against fingerprints captured before
-//!    adaptive sampling existed;
+//!    adaptive sampling existed, and the adaptive path against
+//!    fingerprints of its own, so a change that shifts every adaptive
+//!    result the same way at every thread count still fails;
 //! 3. a quick-scale study run twice — fixed vs adaptive — with the
 //!    FPGA figure conclusions (FIT ordering, TRE monotonicity, MEBF
 //!    crossovers) required to agree while adaptive executes fewer
@@ -19,16 +21,17 @@
 //!    converged cell's spare budget reruns an unconverged cell under a
 //!    boosted-budget key.
 
-use mixed_precision_reliability::arch::{Fpga, VoltaGpu};
-use mixed_precision_reliability::beam::{BeamCampaign, BeamSession};
+use mixed_precision_reliability::arch::{Fpga, VoltaGpu, XeonPhiKnc};
+use mixed_precision_reliability::beam::{BeamCampaign, BeamSession, SdcLabel};
 use mixed_precision_reliability::core::Study;
 use mixed_precision_reliability::exp::{
     CellKey, CellKind, ClassifierId, DeviceId, Engine, ExperimentPlan, ResultStore, SamplingConfig,
     SamplingPlan, WorkloadId,
 };
 use mixed_precision_reliability::fault::{FaultModel, InjectionCampaign};
-use mixed_precision_reliability::kernels::{profiles, Gemm};
+use mixed_precision_reliability::kernels::{profiles, Gemm, Lud};
 use mixed_precision_reliability::obs::fnv1a64;
+use mixed_precision_reliability::softfloat::ulp::max_relative_error;
 use mixed_precision_reliability::softfloat::Precision;
 use std::sync::Arc;
 
@@ -153,6 +156,58 @@ fn fixed_path_still_matches_pre_adaptive_pins() {
         .run();
     assert_eq!((r.counts.masked, r.counts.sdc, r.counts.due), (7, 293, 0));
     assert_eq!(hash_f64s(&r.severities), 0x956ad637fbb2021f);
+}
+
+#[test]
+fn adaptive_path_matches_pinned_fingerprints() {
+    // Thread/batch invariance alone cannot catch a change that moves
+    // every adaptive result identically; these pins can.
+    let gemm8 = Gemm::new(8);
+    let fpga = Fpga::zynq7000();
+    let profile = profiles::mxm_fpga();
+    let classify = |golden: &[f64], out: &[f64]| -> SdcLabel {
+        if max_relative_error(out, golden) > 0.01 {
+            "large"
+        } else {
+            "small"
+        }
+    };
+    let r = BeamCampaign::new(&fpga, &gemm8, &profile, Precision::Half)
+        .session(BeamSession::quick(11).with_target_candidates(150))
+        .classifier(&classify)
+        .sampling(SamplingPlan::Adaptive(SamplingConfig::quick()))
+        .run();
+    assert_eq!((r.candidates, r.executed, r.sdc.events()), (140, 64, 25));
+    assert_eq!(r.sdc.fluence().to_bits(), 0x3f12ce60d62fc1aa);
+    assert_eq!(hash_f64s(&r.severities), 0xf42f981702878d1a);
+    assert_eq!(r.labels.len() as u64, r.sdc.events());
+    assert_eq!(fnv1a64(r.labels.join(",").as_bytes()), 0xfcc3b71cf2428a34);
+
+    let knc = XeonPhiKnc::coprocessor_3120a();
+    let lud = Lud::new(16);
+    let profile = profiles::lud_knc();
+    let r = BeamCampaign::new(&knc, &lud, &profile, Precision::Double)
+        .session(BeamSession::quick(11).with_target_candidates(2000))
+        .sampling(SamplingPlan::Adaptive(SamplingConfig::quick()))
+        .run();
+    assert_eq!(
+        (r.candidates, r.executed, r.sdc.events(), r.due.events()),
+        (1964, 32, 32, 142)
+    );
+    assert_eq!(r.sdc.fluence().to_bits(), 0x3f0336af1882811b);
+    assert_eq!(hash_f64s(&r.severities), 0x79dcd60303714d8c);
+
+    // Dead-register flips (live fraction below one) are executed,
+    // masked strikes that never reach the kernel.
+    let r = InjectionCampaign::new(&gemm8, Precision::Single)
+        .injections(300)
+        .seed(42)
+        .live_fraction(0.6)
+        .threads(3)
+        .sampling(SamplingPlan::Adaptive(SamplingConfig::quick()))
+        .run();
+    assert_eq!((r.counts.masked, r.counts.sdc, r.counts.due), (24, 40, 0));
+    assert_eq!(hash_f64s(&r.severities), 0x0db93144a6e2c049);
 }
 
 /// Indices of `xs` sorted ascending by value — the ordering a reader
