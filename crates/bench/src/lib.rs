@@ -1,18 +1,14 @@
 //! # mpr-bench
 //!
-//! Criterion benchmark harness. Each bench target regenerates one group
-//! of the paper's tables/figures (printing them once per run) and times
-//! the regeneration:
+//! The workspace's two gated `cargo bench` targets. Each one asserts
+//! its floors and writes a JSON record at the repo root:
 //!
-//! * `paper_tables` — Tables 1-3 (execution-time models).
-//! * `fpga_figures` — Figures 2-5 (Zynq-7000 campaigns).
-//! * `knc_figures` — Figures 6-9 (Xeon Phi campaigns).
-//! * `gpu_figures` — Figures 10-13 (Titan V campaigns).
-//! * `softfloat_ops` — raw binary16 soft-float operation latencies.
-//! * `kernel_throughput` — the study's kernels at each precision on the
-//!   host CPU (the simulator's own mixed-precision cost).
+//! * `strike_throughput` — batched and per-strike golden-prefix replay
+//!   against the naive full rerun, per workload; writes
+//!   `BENCH_strikes.json`.
+//! * `adaptive_sampling` — fixed against adaptive campaign budgets at
+//!   the pinned CI-width targets; writes `BENCH_sampling.json`.
 //!
-//! Run with `cargo bench --workspace`.
-
-/// The seed every bench uses, so printed tables match EXPERIMENTS.md.
-pub const BENCH_SEED: u64 = 2019;
+//! Run one with `cargo bench -p mpr-bench --bench <name>` (append
+//! `-- --quick` for the CI scale). `mpr report` regenerates the paper's
+//! tables and figures; `perfbench` times them end to end.

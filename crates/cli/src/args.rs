@@ -281,6 +281,14 @@ WORKLOAD: mxm | lavamd | lavamd-knc | lud | micro-add | micro-mul |
           micro-fma | mnist | yolo
 ";
 
+/// The flags `campaign`, `inject` and `chaos` accept, whitespace-separated.
+const CAMPAIGN_FLAGS: &str = "--device --workload --precision --strikes --hours --seed \
+    --threads --retries --cell-timeout --adaptive --ci-width --strike-budget";
+const INJECT_FLAGS: &str = "--workload --precision --n --model --seed --threads --retries \
+    --cell-timeout --adaptive --ci-width --strike-budget";
+const CHAOS_FLAGS: &str = "--cache-dir --chaos-seed --chaos-rate --chaos-crash-at --threads \
+    --retries --resume";
+
 /// Parses the command line (without the program name).
 ///
 /// # Errors
@@ -290,6 +298,17 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
     let mut it = args.iter().map(String::as_str);
     let sub = it.next().ok_or_else(|| ParseError(USAGE.to_string()))?;
     let rest: Vec<&str> = it.collect();
+    let known = match sub {
+        "campaign" => Some(CAMPAIGN_FLAGS),
+        "inject" => Some(INJECT_FLAGS),
+        "chaos" => Some(CHAOS_FLAGS),
+        "analyze" => Some("--json --root --baseline"),
+        // The study subcommands reject unknown flags in `study_opts`.
+        _ => None,
+    };
+    if let Some(known) = known {
+        reject_unknown(&rest, known)?;
+    }
     match sub {
         "help" | "--help" | "-h" => Ok(Command::Help),
         "tables" => Ok(Command::Tables {
@@ -334,40 +353,18 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             cell_timeout: cell_timeout_of(&rest)?,
             sampling: sampling_of(&rest)?,
         }),
-        "chaos" => {
-            const KNOWN: [&str; 7] = [
-                "--cache-dir",
-                "--chaos-seed",
-                "--chaos-rate",
-                "--chaos-crash-at",
-                "--threads",
-                "--retries",
-                "--resume",
-            ];
-            if let Some(&bad) = rest
-                .iter()
-                .find(|&&a| a.starts_with("--") && !KNOWN.contains(&a))
-            {
-                return Err(ParseError(format!("unknown flag `{bad}`\n\n{USAGE}")));
-            }
-            Ok(Command::Chaos {
-                opts: ChaosOpts {
-                    cache_dir: required(&rest, "--cache-dir")?.to_string(),
-                    seed: numeric(&rest, "--chaos-seed", 2019)?,
-                    rate: chaos_rate_of(&rest)?,
-                    crash_at: crash_at_of(&rest)?,
-                    threads: threads_of(&rest)?,
-                    retries: retries_of(&rest)?,
-                    resume: rest.contains(&"--resume"),
-                },
-            })
-        }
+        "chaos" => Ok(Command::Chaos {
+            opts: ChaosOpts {
+                cache_dir: required(&rest, "--cache-dir")?.to_string(),
+                seed: numeric(&rest, "--chaos-seed", 2019)?,
+                rate: chaos_rate_of(&rest)?,
+                crash_at: crash_at_of(&rest)?,
+                threads: threads_of(&rest)?,
+                retries: retries_of(&rest)?,
+                resume: rest.contains(&"--resume"),
+            },
+        }),
         "analyze" => {
-            if let Some(&bad) = rest.iter().find(|&&a| {
-                a.starts_with("--") && a != "--json" && a != "--root" && a != "--baseline"
-            }) {
-                return Err(ParseError(format!("unknown flag `{bad}`")));
-            }
             let baseline = if rest.contains(&"--baseline") {
                 Some(
                     optional(&rest, "--baseline")
@@ -384,6 +381,17 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             })
         }
         other => Err(ParseError(format!("unknown command `{other}`\n\n{USAGE}"))),
+    }
+}
+
+/// Rejects the first `--flag` in `rest` that the whitespace-separated
+/// `known` list does not name, so a misspelled option fails with the
+/// usage text instead of silently keeping its default.
+fn reject_unknown(rest: &[&str], known: &str) -> Result<(), ParseError> {
+    let is_known = |a: &str| known.split_whitespace().any(|k| k == a);
+    match rest.iter().find(|a| a.starts_with("--") && !is_known(a)) {
+        Some(bad) => Err(ParseError(format!("unknown flag `{bad}`\n\n{USAGE}"))),
+        None => Ok(()),
     }
 }
 
@@ -1017,6 +1025,14 @@ mod tests {
                 .0
                 .contains("integer")
         );
+        // Misspelled flags fail loudly instead of running the defaults.
+        for line in [
+            "campaign --device gpu --workload micro-add --precision half --strike 50",
+            "inject --workload mxm --precision half --injections 10",
+        ] {
+            assert!(parse_err(line).0.starts_with("unknown flag"), "{line}");
+            assert!(parse_err(line).0.contains("USAGE:"), "{line}");
+        }
     }
 
     #[test]

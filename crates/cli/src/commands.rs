@@ -6,8 +6,8 @@ use crate::args::{
 };
 use mpr_core::Study;
 use mpr_exp::{
-    failure_table, CellKey, CellKind, CellResult, ChaosConfig, ChaosFs, ClassifierId, DeviceId,
-    Engine, ExperimentPlan, RealFs, ResultStore, SamplingConfig, SamplingPlan, Vfs, WorkloadId,
+    failure_table, CellKey, CellKind, CellResult, ChaosConfig, ChaosFs, DeviceId, Engine,
+    ExperimentPlan, RealFs, ResultStore, SamplingConfig, SamplingPlan, Vfs, WorkloadId,
 };
 use mpr_fault::FaultModel;
 use mpr_kernels::MicroKernelOp;
@@ -569,14 +569,6 @@ fn micro_id(op: MicroKernelOp) -> WorkloadId {
     }
 }
 
-fn classifier_for(workload: &WorkloadId) -> ClassifierId {
-    match workload {
-        WorkloadId::Mnist { .. } => ClassifierId::MnistLogits,
-        WorkloadId::Yolo => ClassifierId::YoloDetections,
-        _ => ClassifierId::None,
-    }
-}
-
 /// Checks precision support with distinct messages for the device and
 /// the workload; returns the exit code on failure.
 fn check_supported(key: &CellKey) -> Option<i32> {
@@ -610,14 +602,15 @@ fn run_campaign(
     sampling: SamplingPlan,
     engine: Engine,
 ) -> i32 {
+    let workload = workload_id(workload_arg);
     let key = CellKey {
         device: device_id(device_arg),
-        workload: workload_id(workload_arg),
+        workload,
         precision,
         kind: CellKind::Beam {
             hours,
             target_candidates: strikes,
-            classifier: classifier_for(&workload_id(workload_arg)),
+            classifier: workload.classifier(),
             sampling,
         },
     };
@@ -701,14 +694,8 @@ fn run_inject(
         ModelArg::Double => FaultModel::DoubleBit,
         ModelArg::Byte => FaultModel::RandomByte,
     };
-    // Injection bypasses the device's execution units: the device slot
-    // only namespaces the cell (same convention as the study).
     let key = CellKey {
-        device: match workload {
-            WorkloadId::Micro { .. } | WorkloadId::Yolo => DeviceId::TitanV,
-            WorkloadId::Mnist { .. } => DeviceId::Zynq7000,
-            _ => DeviceId::Knc3120a,
-        },
+        device: workload.inject_device(),
         workload,
         precision,
         kind: CellKind::Inject {

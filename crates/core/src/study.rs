@@ -2,8 +2,8 @@
 
 use mpr_arch::{Fpga, VoltaGpu, WorkloadProfile, XeonPhiKnc};
 use mpr_exp::{
-    mix_seed, CellKey, CellKind, CellResult, ClassifierId, DeviceId, Engine, ExperimentPlan,
-    ResultStore, SamplingPlan, WorkloadId,
+    mix_seed, CellKey, CellKind, CellResult, DeviceId, Engine, ExperimentPlan, ResultStore,
+    SamplingPlan, WorkloadId,
 };
 use mpr_fault::FaultModel;
 use mpr_kernels::{profiles as kprofiles, MicroKernelOp};
@@ -262,11 +262,6 @@ impl Study {
         workload: WorkloadId,
         precision: Precision,
     ) -> CellKey {
-        let classifier = match workload {
-            WorkloadId::Mnist { .. } => ClassifierId::MnistLogits,
-            WorkloadId::Yolo => ClassifierId::YoloDetections,
-            _ => ClassifierId::None,
-        };
         CellKey {
             device,
             workload,
@@ -274,7 +269,7 @@ impl Study {
             kind: CellKind::Beam {
                 hours: self.hours(),
                 target_candidates: self.target_candidates(),
-                classifier,
+                classifier: workload.classifier(),
                 sampling: self.sampling,
             },
         }
@@ -290,16 +285,8 @@ impl Study {
         model: FaultModel,
         live_fraction: f64,
     ) -> CellKey {
-        // Injection campaigns bypass the device's execution units; the
-        // device slot only namespaces the cell. Use the device whose
-        // methodology the model mimics to keep keys self-describing.
-        let device = match workload {
-            WorkloadId::Micro { .. } | WorkloadId::Yolo => DeviceId::TitanV,
-            WorkloadId::Mnist { .. } => DeviceId::Zynq7000,
-            _ => DeviceId::Knc3120a,
-        };
         CellKey {
-            device,
+            device: workload.inject_device(),
             workload,
             precision,
             kind: CellKind::Inject {

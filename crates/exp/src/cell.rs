@@ -200,6 +200,29 @@ impl WorkloadId {
         }
     }
 
+    /// The domain SDC classifier every beam cell of this workload
+    /// carries: MNIST and YOLO label their SDCs, the rest do not, so
+    /// label-consuming and label-free figures share one campaign.
+    pub fn classifier(&self) -> ClassifierId {
+        match self {
+            WorkloadId::Mnist { .. } => ClassifierId::MnistLogits,
+            WorkloadId::Yolo => ClassifierId::YoloDetections,
+            _ => ClassifierId::None,
+        }
+    }
+
+    /// The device slot of this workload's injection cells. Injection
+    /// bypasses the device's execution units, so the slot only
+    /// namespaces the cell; it names the device whose methodology the
+    /// campaign mimics to keep keys self-describing.
+    pub fn inject_device(&self) -> DeviceId {
+        match self {
+            WorkloadId::Micro { .. } | WorkloadId::Yolo => DeviceId::TitanV,
+            WorkloadId::Mnist { .. } => DeviceId::Zynq7000,
+            _ => DeviceId::Knc3120a,
+        }
+    }
+
     /// Key used for golden-output memoization: the golden run depends
     /// only on the workload and the precision, never on the device or
     /// session, so every cell sharing this pair shares one golden run.
@@ -603,6 +626,18 @@ mod tests {
             },
         };
         assert!(!key.supported());
+    }
+
+    #[test]
+    fn workload_facts_pin_classifier_and_inject_device() {
+        for (w, facts) in [
+            (WorkloadId::Lud { dim: 8 }, "none@knc-3120a"),
+            (WorkloadId::Mnist { seed: 1 }, "mnist@zynq-7000"),
+            (WorkloadId::Yolo, "yolo@titan-v"),
+        ] {
+            let got = format!("{}@{}", w.classifier().token(), w.inject_device().token());
+            assert_eq!(got, facts);
+        }
     }
 
     #[test]

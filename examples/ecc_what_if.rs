@@ -12,7 +12,7 @@
 //! ```
 
 use mixed_precision_reliability::exp::{
-    CellKey, CellKind, ClassifierId, DeviceId, Engine, ExperimentPlan, SamplingPlan, WorkloadId,
+    CellKey, CellKind, DeviceId, Engine, ExperimentPlan, SamplingPlan, WorkloadId,
 };
 use mixed_precision_reliability::kernels::MicroKernelOp;
 use mixed_precision_reliability::metrics::Table;
@@ -47,10 +47,7 @@ fn main() {
                     kind: CellKind::Beam {
                         hours: 10.0,
                         target_candidates: 900,
-                        classifier: match workload {
-                            WorkloadId::Yolo => ClassifierId::YoloDetections,
-                            _ => ClassifierId::None,
-                        },
+                        classifier: workload.classifier(),
                         sampling: SamplingPlan::Fixed,
                     },
                 });
