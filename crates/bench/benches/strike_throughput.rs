@@ -27,12 +27,14 @@
 //! - `--quick`: small sizes, asserts batched >= naive on every
 //!   workload, writes and re-parses `BENCH_strikes.json`
 //! - default:   paper proxy sizes, asserts the per-workload floors
-//!   (GEMM beam proxy >= 5x, LUD >= 10x, ...) and the half-vs-single
-//!   ratio, writes and re-parses `BENCH_strikes.json`
+//!   (GEMM beam proxy >= 5x, LUD >= 10x, MNIST >= 18x, YOLO >= 9x, ...)
+//!   and the half-vs-single ratio, writes and re-parses
+//!   `BENCH_strikes.json`
 
 use mpr_analyze::json::{self, Value};
 use mpr_fault::{FaultModel, ValueFault, Workload};
 use mpr_kernels::{Gemm, LavaMd, Lud, Micro, MicroKernelOp};
+use mpr_nn::{Mnist, TinyYolo};
 use mpr_obs::mix_seed;
 use mpr_softfloat::Precision;
 use rand::rngs::StdRng;
@@ -90,7 +92,7 @@ fn configs(mode: Mode) -> Vec<Config> {
     // The beam proxy mirrors the paper's signature MxM beam campaigns
     // (FPGA configuration upsets => persistent stuck bits); the rest use
     // the CAROL-FI single-bit model the PVF campaigns sample.
-    match mode {
+    let mut configs = match mode {
         Mode::Test => vec![
             Config {
                 label: "gemm8_beam_proxy",
@@ -181,7 +183,31 @@ fn configs(mode: Mode) -> Vec<Config> {
                 floor: 7.0,
             },
         ],
-    }
+    };
+    // The networks have one size, so every mode runs the study's nets:
+    // MNIST at the study's weight seed (`Study` derives it from seed
+    // 2019) and the TinyYolo detector. Full-mode floors sit at about
+    // half the slowest precision's measured speedup (MNIST single ~37x,
+    // YOLO single ~18x), never below 4x.
+    let (mnist_floor, yolo_floor) = match mode {
+        Mode::Test | Mode::Quick => (1.0, 1.0),
+        Mode::Full => (18.0, 9.0),
+    };
+    configs.push(Config {
+        label: "mnist",
+        workload: Box::new(Mnist::new().with_seed(mix_seed(2019, 0x313))),
+        model: FaultModel::SingleBit,
+        headline: false,
+        floor: mnist_floor,
+    });
+    configs.push(Config {
+        label: "tiny_yolo",
+        workload: Box::new(TinyYolo::new()),
+        model: FaultModel::SingleBit,
+        headline: false,
+        floor: yolo_floor,
+    });
+    configs
 }
 
 /// The campaign drivers' strike stream: per-strike `StdRng` derived via

@@ -19,6 +19,10 @@
 //! * [`InjectionCampaign`] — N seeded injections (parallelized with
 //!   std::thread::scope), producing outcome counts, AVF/PVF estimates, and the
 //!   per-SDC severity list that feeds the TRE analysis.
+//! * [`PrecisionCache`], [`dispatch_precision!`] and
+//!   [`monomorphic_workload!`] — the fast-path scaffold the kernel and
+//!   network crates share (per-precision input and checkpoint caches,
+//!   and the generic `run<F, H>` dispatch family).
 //! * [`executor`] — the one threaded strike loop behind both the
 //!   injection campaign and the `mpr-beam` exposure driver, under fixed
 //!   and adaptive budgets alike.
@@ -70,11 +74,13 @@
 
 mod campaign;
 pub mod executor;
+mod fastpath;
 pub mod hook;
 pub mod hostile;
 mod model;
 mod workload;
 
 pub use campaign::{CampaignError, InjectionCampaign, InjectionReport};
+pub use fastpath::PrecisionCache;
 pub use model::{FaultModel, ValueFault};
 pub use workload::Workload;

@@ -20,8 +20,7 @@ use mpr_softfloat::Precision;
 ///
 /// * [`Workload::dispatch_mono`] — the same dispatch, generic over the
 ///   hook, so golden and single-strike runs compile to static calls
-///   (the kernel crates generate this alongside their precision
-///   dispatch macro);
+///   (workloads generate it with [`crate::monomorphic_workload!`]);
 /// * [`Workload::run_from_site_into`] — incremental strike execution
 ///   that reuses the golden output for every output element the fault
 ///   provably cannot reach and recomputes only the dirty slice.
@@ -41,8 +40,8 @@ pub trait Workload: Sync {
     /// Monomorphized [`Workload::dispatch`]: the hook type is a generic
     /// parameter, so a concrete hook compiles to static calls with the
     /// touch inlined into the kernel loop ([`NullHook`] disappears
-    /// entirely). The default forwards to the `dyn` path; kernels
-    /// override it via their dispatch macro. Not object-safe — this is
+    /// entirely). The default forwards to the `dyn` path; workloads
+    /// override it via [`crate::monomorphic_workload!`]. Not object-safe — this is
     /// the entry point for callers that hold the concrete workload, and
     /// the implementation detail behind the object-safe fast paths
     /// below.

@@ -1,9 +1,8 @@
 //! The LavaMD particle-potential kernel.
 
-use crate::monomorphic_workload;
-use crate::util::{gen_value, index_range, to_u64, PrecisionCache};
+use crate::util::{gen_value, index_range, to_u64};
 use mpr_fault::hook::{FaultHook, HookExt, InjectHook, NullHook};
-use mpr_fault::{ValueFault, Workload};
+use mpr_fault::{monomorphic_workload, PrecisionCache, ValueFault, Workload};
 use mpr_softfloat::math::exp_terms;
 use mpr_softfloat::{FloatExt, Precision};
 

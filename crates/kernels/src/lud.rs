@@ -1,9 +1,8 @@
 //! The LUD (LU decomposition) kernel.
 
-use crate::monomorphic_workload;
-use crate::util::{gen_value, to_u64, PrecisionCache};
+use crate::util::{gen_value, to_u64};
 use mpr_fault::hook::{FaultHook, HookExt, NullHook};
-use mpr_fault::{ValueFault, Workload};
+use mpr_fault::{monomorphic_workload, PrecisionCache, ValueFault, Workload};
 use mpr_softfloat::{FloatExt, Precision};
 
 /// Per-precision replay state: exact input and golden-output bits plus

@@ -1,9 +1,8 @@
 //! The Micro-ADD / Micro-MUL / Micro-FMA synthetic kernels.
 
-use crate::monomorphic_workload;
 use crate::util::{gen_value, to_u64};
 use mpr_fault::hook::{FaultHook, HookExt, InjectHook};
-use mpr_fault::{ValueFault, Workload};
+use mpr_fault::{monomorphic_workload, ValueFault, Workload};
 use mpr_softfloat::{FloatExt, Precision};
 
 /// Which arithmetic operation a microbenchmark stresses.

@@ -1,8 +1,5 @@
-//! Deterministic input generation and per-precision caching shared by
-//! the kernels.
-
-use mpr_softfloat::Precision;
-use std::sync::OnceLock;
+//! Deterministic input generation and checked index conversions shared
+//! by the kernels.
 
 /// Checked `usize -> u64` conversion for site and input indices:
 /// replaces the silent `as u64` cast pattern the kernels used to carry.
@@ -22,50 +19,6 @@ pub(crate) fn to_u64(count: usize) -> u64 {
 #[inline]
 pub(crate) fn index_range(count: usize) -> std::ops::Range<u64> {
     0..to_u64(count)
-}
-
-/// One lazily-initialized slot per [`Precision`]: the kernels cache
-/// their generated inputs (and replay snapshots) here so a campaign's
-/// strike batch stops re-running `gen_value` on every strike.
-///
-/// The cached value is a pure function of the owning kernel's
-/// configuration, so `Clone` intentionally produces a fresh *empty*
-/// cache (re-derivable, and it keeps the kernels `Clone` without a
-/// `T: Clone` bound).
-pub(crate) struct PrecisionCache<T> {
-    slots: [OnceLock<T>; 3],
-}
-
-impl<T> PrecisionCache<T> {
-    /// An empty cache.
-    pub(crate) const fn new() -> PrecisionCache<T> {
-        PrecisionCache {
-            slots: [OnceLock::new(), OnceLock::new(), OnceLock::new()],
-        }
-    }
-
-    /// The cached value for `precision`, computing it on first use.
-    pub(crate) fn get_or_init(&self, precision: Precision, init: impl FnOnce() -> T) -> &T {
-        let slot = match precision {
-            Precision::Double => &self.slots[0],
-            Precision::Single => &self.slots[1],
-            Precision::Half => &self.slots[2],
-        };
-        slot.get_or_init(init)
-    }
-}
-
-impl<T> Clone for PrecisionCache<T> {
-    fn clone(&self) -> PrecisionCache<T> {
-        PrecisionCache::new()
-    }
-}
-
-impl<T> std::fmt::Debug for PrecisionCache<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let filled = self.slots.iter().filter(|s| s.get().is_some()).count();
-        write!(f, "PrecisionCache({filled}/3 filled)")
-    }
 }
 
 /// SplitMix64: a tiny, high-quality deterministic generator used to

@@ -9,7 +9,7 @@
 //! output.
 
 use crate::Tensor;
-use mpr_fault::hook::FaultHook;
+use mpr_fault::hook::{FaultHook, HookExt};
 use mpr_softfloat::FloatExt;
 
 /// Weights of one convolution layer: `out_ch` kernels of
@@ -52,121 +52,98 @@ impl<F: FloatExt> ConvWeights<F> {
     }
 }
 
-/// Valid (no padding) stride-1 2-D convolution.
-///
-/// # Panics
-///
-/// Panics if the input is smaller than the kernel or the channel counts
-/// disagree.
-pub fn conv2d<F: FloatExt>(
+/// One output element of a valid (no padding) stride-1 convolution:
+/// channel `o` at `(y, x)`, the `in_ch x k x k` FMA chain in
+/// `(i, dy, dx)` order with every partial sum touched.
+#[inline]
+pub(crate) fn conv_element<F: FloatExt, H: FaultHook + ?Sized>(
     input: &Tensor<F>,
     w: &ConvWeights<F>,
-    hook: &mut dyn FaultHook,
-) -> Tensor<F> {
-    let (in_ch, h, width) = input.shape();
-    assert_eq!(in_ch, w.in_ch, "channel mismatch");
-    assert!(h >= w.k && width >= w.k, "input smaller than kernel");
-    let oh = h - w.k + 1;
-    let ow = width - w.k + 1;
-    let mut out = Tensor::zeros(w.out_ch, oh, ow);
-    for o in 0..w.out_ch {
-        for y in 0..oh {
-            for x in 0..ow {
-                let mut acc = w.biases[o];
-                for i in 0..in_ch {
-                    for dy in 0..w.k {
-                        for dx in 0..w.k {
-                            acc = hook.touch(
-                                w.kernel(o, i, dy, dx)
-                                    .mul_add(input.get(i, y + dy, x + dx), acc),
-                            );
-                        }
-                    }
-                }
-                out.set(o, y, x, acc);
+    (o, y, x): (usize, usize, usize),
+    hook: &mut H,
+) -> F {
+    let mut acc = w.biases[o];
+    for i in 0..w.in_ch {
+        for dy in 0..w.k {
+            for dx in 0..w.k {
+                acc = hook.touch(
+                    w.kernel(o, i, dy, dx)
+                        .mul_add(input.get(i, y + dy, x + dx), acc),
+                );
             }
         }
     }
-    out
+    acc
 }
 
-/// 2x2 max pooling with stride 2 (trailing odd row/column dropped).
-pub fn maxpool2<F: FloatExt>(input: &Tensor<F>, hook: &mut dyn FaultHook) -> Tensor<F> {
-    let (c, h, w) = input.shape();
-    let (oh, ow) = (h / 2, w / 2);
-    assert!(oh > 0 && ow > 0, "input too small to pool");
-    let mut out = Tensor::zeros(c, oh, ow);
-    for ch in 0..c {
-        for y in 0..oh {
-            for x in 0..ow {
-                let m = input
-                    .get(ch, 2 * y, 2 * x)
-                    .max(input.get(ch, 2 * y, 2 * x + 1))
-                    .max(input.get(ch, 2 * y + 1, 2 * x))
-                    .max(input.get(ch, 2 * y + 1, 2 * x + 1));
-                out.set(ch, y, x, hook.touch(m));
-            }
-        }
-    }
-    out
+/// One output element of 2x2 max pooling with stride 2: the touched
+/// maximum of the window at `(2y, 2x)` in channel `ch`.
+#[inline]
+pub(crate) fn pool_element<F: FloatExt, H: FaultHook + ?Sized>(
+    input: &Tensor<F>,
+    (ch, y, x): (usize, usize, usize),
+    hook: &mut H,
+) -> F {
+    let m = input
+        .get(ch, 2 * y, 2 * x)
+        .max(input.get(ch, 2 * y, 2 * x + 1))
+        .max(input.get(ch, 2 * y + 1, 2 * x))
+        .max(input.get(ch, 2 * y + 1, 2 * x + 1));
+    hook.touch(m)
 }
 
-/// ReLU: negatives become exactly zero — with max pooling, the CNN's
-/// main natural fault-masking mechanism (paper Section 4.1).
-pub fn relu<F: FloatExt>(input: &Tensor<F>, hook: &mut dyn FaultHook) -> Tensor<F> {
-    let (c, h, w) = input.shape();
-    let mut out = Tensor::zeros(c, h, w);
-    for ch in 0..c {
-        for y in 0..h {
-            for x in 0..w {
-                let v = input.get(ch, y, x);
-                let a = if v > F::zero() { v } else { F::zero() };
-                out.set(ch, y, x, hook.touch(a));
-            }
-        }
-    }
-    out
+/// ReLU of one value, touched: negatives become exactly zero — with
+/// max pooling, the CNN's main natural fault-masking mechanism (paper
+/// Section 4.1).
+#[inline]
+pub(crate) fn relu_element<F: FloatExt, H: FaultHook + ?Sized>(v: F, hook: &mut H) -> F {
+    hook.touch(if v > F::zero() { v } else { F::zero() })
 }
 
-/// Leaky ReLU (slope 0.125 — exactly representable at every precision).
-pub fn leaky_relu<F: FloatExt>(input: &Tensor<F>, hook: &mut dyn FaultHook) -> Tensor<F> {
-    let (c, h, w) = input.shape();
+/// Leaky ReLU of one value, touched (slope 0.125 — exactly
+/// representable at every precision).
+#[inline]
+pub(crate) fn leaky_relu_element<F: FloatExt, H: FaultHook + ?Sized>(v: F, hook: &mut H) -> F {
     let slope = F::from_f64(0.125);
-    let mut out = Tensor::zeros(c, h, w);
-    for ch in 0..c {
-        for y in 0..h {
-            for x in 0..w {
-                let v = input.get(ch, y, x);
-                let a = if v >= F::zero() { v } else { v * slope };
-                out.set(ch, y, x, hook.touch(a));
-            }
-        }
-    }
-    out
+    hook.touch(if v >= F::zero() { v } else { v * slope })
 }
 
-/// Fully connected layer: `out[j] = b[j] + sum_i w[j][i] * in[i]`.
-///
-/// # Panics
-///
-/// Panics if the weight matrix does not match the input length.
-pub fn dense<F: FloatExt>(
-    input: &[F],
-    weights: &[F],
-    biases: &[F],
-    hook: &mut dyn FaultHook,
-) -> Vec<F> {
-    let n_out = biases.len();
-    assert_eq!(weights.len(), n_out * input.len(), "weight matrix shape");
-    let mut out = Vec::with_capacity(n_out);
-    for j in 0..n_out {
-        let mut acc = biases[j];
-        for (i, &v) in input.iter().enumerate() {
-            acc = hook.touch(weights[j * input.len() + i].mul_add(v, acc));
-        }
-        out.push(acc);
+/// Output channels of a detection head that stay raw: the box width
+/// and height terms. Every other channel (objectness, box offsets,
+/// class scores) is squashed by [`sigmoid`].
+const RAW_HEAD_CHANNELS: [usize; 2] = [3, 4];
+
+/// The feature-map cell a `grid x grid` detection head samples for
+/// anchor cell `(gy, gx)`: the anchor clamped onto the `fh x fw` map (a
+/// cheap upsample-free anchor grid).
+#[inline]
+pub(crate) fn head_sample((gy, gx): (usize, usize), (fh, fw): (usize, usize)) -> (usize, usize) {
+    (gy.min(fh - 1), gx.min(fw - 1))
+}
+
+/// One output of a YOLO-style detection head: channel `ch` of anchor
+/// cell `cell` (row-major on a `grid x grid` anchor grid), a 1x1
+/// convolution at the feature cell the anchor samples (see
+/// [`head_sample`]) followed by the channel's squash: channels 3 and 4
+/// (box width and height) stay raw, every other channel goes through
+/// [`sigmoid`]. Its site count depends on the value: the sigmoid's
+/// `exp` runs no polynomial once its argument saturates.
+#[inline]
+pub(crate) fn head_element<F: FloatExt, H: FaultHook + ?Sized>(
+    input: &Tensor<F>,
+    w: &ConvWeights<F>,
+    grid: usize,
+    (cell, ch): (usize, usize),
+    hook: &mut H,
+) -> F {
+    let (_, fh, fw) = input.shape();
+    let (sy, sx) = head_sample((cell / grid, cell % grid), (fh, fw));
+    let acc = conv_element(input, w, (ch, sy, sx), hook);
+    if RAW_HEAD_CHANNELS.contains(&ch) {
+        hook.touch(acc)
+    } else {
+        sigmoid(acc, hook)
     }
-    out
 }
 
 /// Argument magnitude beyond which `exp` has saturated at every studied
@@ -192,7 +169,7 @@ fn inv_factorial(k: usize) -> f64 {
 /// argument reduction, a precision-deep Horner recurrence, and the final
 /// scale. GPUs evaluate transcendentals in software (paper Section 6.3),
 /// so these intermediates are real fault sites.
-pub fn exp_hooked<F: FloatExt>(x: F, hook: &mut dyn FaultHook) -> F {
+pub fn exp_hooked<F: FloatExt, H: FaultHook + ?Sized>(x: F, hook: &mut H) -> F {
     use mpr_softfloat::math::exp_terms;
     if x.is_nan() || x.is_infinite() {
         return x.exp();
@@ -219,7 +196,7 @@ pub fn exp_hooked<F: FloatExt>(x: F, hook: &mut dyn FaultHook) -> F {
 /// Logistic sigmoid `1 / (1 + exp(-x))`, evaluated in precision with the
 /// exponential's intermediates exposed as fault sites (see
 /// [`exp_hooked`]).
-pub fn sigmoid<F: FloatExt>(x: F, hook: &mut dyn FaultHook) -> F {
+pub fn sigmoid<F: FloatExt, H: FaultHook + ?Sized>(x: F, hook: &mut H) -> F {
     let e = exp_hooked(-x, hook);
     let e = hook.touch(e);
     hook.touch(F::one() / (F::one() + e))
@@ -231,7 +208,7 @@ pub fn sigmoid<F: FloatExt>(x: F, hook: &mut dyn FaultHook) -> F {
 /// # Panics
 ///
 /// Panics if `logits` is empty.
-pub fn softmax<F: FloatExt>(logits: &[F], hook: &mut dyn FaultHook) -> Vec<F> {
+pub fn softmax<F: FloatExt, H: FaultHook + ?Sized>(logits: &[F], hook: &mut H) -> Vec<F> {
     assert!(!logits.is_empty(), "softmax needs at least one logit");
     let max = logits.iter().fold(logits[0], |m, &v| m.max(v));
     let mut exps = Vec::with_capacity(logits.len());
@@ -249,11 +226,28 @@ pub fn softmax<F: FloatExt>(logits: &[F], hook: &mut dyn FaultHook) -> Vec<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stages::Stage;
     use mpr_fault::hook::GoldenHook;
     use mpr_softfloat::Half;
 
     fn hook() -> GoldenHook {
         GoldenHook::new()
+    }
+
+    fn conv2d(input: &Tensor<f64>, w: &ConvWeights<f64>, hook: &mut GoldenHook) -> Tensor<f64> {
+        Stage::Conv(w.clone()).forward(input, hook)
+    }
+
+    fn maxpool2(input: &Tensor<f64>, hook: &mut GoldenHook) -> Tensor<f64> {
+        Stage::MaxPool2.forward(input, hook)
+    }
+
+    fn relu(input: &Tensor<f64>, hook: &mut GoldenHook) -> Tensor<f64> {
+        Stage::Relu.forward(input, hook)
+    }
+
+    fn leaky_relu(input: &Tensor<f64>, hook: &mut GoldenHook) -> Tensor<f64> {
+        Stage::LeakyRelu.forward(input, hook)
     }
 
     #[test]
@@ -331,12 +325,16 @@ mod tests {
     }
 
     #[test]
-    fn dense_matches_reference() {
-        let input = [1.0f64, 2.0];
-        let weights = [1.0, 0.0, 0.0, 1.0, 1.0, 1.0]; // 3x2
-        let biases = [0.0, 0.0, 0.5];
-        let out = dense(&input, &weights, &biases, &mut hook());
-        assert_eq!(out, vec![1.0, 2.0, 3.5]);
+    fn full_window_conv_is_a_dense_layer() {
+        // A kernel covering the whole input is a fully connected layer:
+        // the (i, dy, dx) chain order is the CHW flattening.
+        let input: Tensor<f64> = Tensor::from_fn(2, 1, 1, |c, _, _| (c + 1) as f64);
+        let weights = vec![1.0, 0.0, 0.0, 1.0, 1.0, 1.0]; // 3x2
+        let w = ConvWeights::new(weights, vec![0.0, 0.0, 0.5], 2, 3, 1);
+        let mut h = hook();
+        let out = conv2d(&input, &w, &mut h);
+        assert_eq!(out.to_f64_vec(), vec![1.0, 2.0, 3.5]);
+        assert_eq!(h.sites(), 6);
     }
 
     #[test]

@@ -13,6 +13,12 @@
 //!   **detection change** (boxes appear/move/vanish), or a
 //!   **classification change** (paper Figure 11c).
 //!
+//! Both networks declare their topology once as a stage list. The naive
+//! forward pass runs it with every touch through the fault hook; a
+//! strike replays only the struck element and its downstream receptive
+//! field over per-stage golden checkpoints, byte-identical to the full
+//! rerun (DESIGN.md §4g).
+//!
 //! Mirroring the paper's methodology, the networks are *not retrained
 //! per precision*: one set of weights is generated deterministically and
 //! cast into each precision ("we keep the same weights of the single
@@ -45,21 +51,10 @@ mod criticality;
 pub mod layers;
 mod mnist;
 pub mod profiles;
+mod stages;
 mod synth;
 mod tensor;
 mod yolo;
-
-/// Dispatches a generic `run<F>` method on a runtime [`mpr_softfloat::Precision`].
-macro_rules! dispatch_precision {
-    ($self:ident, $precision:ident, $hook:ident) => {
-        match $precision {
-            mpr_softfloat::Precision::Double => $self.run::<f64>($hook),
-            mpr_softfloat::Precision::Single => $self.run::<f32>($hook),
-            mpr_softfloat::Precision::Half => $self.run::<mpr_softfloat::Half>($hook),
-        }
-    };
-}
-pub(crate) use dispatch_precision;
 
 pub use criticality::{
     classify_detections, classify_logits, ClassificationImpact, Detection, DetectionImpact,

@@ -1,21 +1,22 @@
 //! The MNIST LeNet-style classifier.
 
-use crate::layers::{conv2d, dense, maxpool2, relu, ConvWeights};
+use crate::layers::ConvWeights;
+use crate::stages::{Net, NetCache, Network, Stage};
 use crate::synth::{digit_image, gen_weights};
-use crate::Tensor;
 use mpr_fault::hook::FaultHook;
-use mpr_fault::Workload;
+use mpr_fault::{dispatch_precision, ValueFault, Workload};
 use mpr_softfloat::{FloatExt, Precision};
 
 /// A LeNet-style convolutional digit classifier — the CNN the paper
 /// synthesizes on the FPGA (Section 3.1, "a topology very similar to
 /// LeNet").
 ///
-/// Topology (on a 16x16 proxy canvas): `conv 1->4 (5x5)` + leaky ReLU +
-/// 2x2 max pool, `conv 4->8 (3x3)` + leaky ReLU + 2x2 max pool,
-/// `dense 32->10`. Weights are generated once from a seed and cast into
-/// each precision; the network is *not retrained* per precision,
-/// matching the paper's methodology.
+/// Topology (on a 16x16 proxy canvas): `conv 1->4 (5x5)` + ReLU + 2x2
+/// max pool, `conv 4->8 (3x3)` + ReLU + 2x2 max pool, `dense 32->10`
+/// (a 2x2 convolution over the 8x2x2 map: the same FMA chains in the
+/// same order as a fully connected layer). Weights are generated once
+/// from a seed and cast into each precision; the network is *not
+/// retrained* per precision, matching the paper's methodology.
 ///
 /// As a [`Workload`] its output is the 10 class logits; an SDC is
 /// *critical* when the arg-max class changes
@@ -24,6 +25,7 @@ use mpr_softfloat::{FloatExt, Precision};
 pub struct Mnist {
     seed: u64,
     digit: usize,
+    nets: NetCache,
 }
 
 impl Mnist {
@@ -32,6 +34,7 @@ impl Mnist {
         Mnist {
             seed: 0x313,
             digit: 3,
+            nets: NetCache::default(),
         }
     }
 
@@ -43,43 +46,15 @@ impl Mnist {
     pub fn with_digit(mut self, digit: usize) -> Mnist {
         assert!(digit <= 9, "MNIST has classes 0..=9");
         self.digit = digit;
+        self.nets = NetCache::default();
         self
     }
 
     /// Overrides the weight/data seed.
     pub fn with_seed(mut self, seed: u64) -> Mnist {
         self.seed = seed;
+        self.nets = NetCache::default();
         self
-    }
-
-    fn run<F: FloatExt>(&self, hook: &mut dyn FaultHook) -> Vec<f64> {
-        let input: Tensor<F> = digit_image(self.digit, self.seed ^ 0xD161, 16);
-
-        let conv1 = ConvWeights::new(
-            gen_weights(self.seed ^ 1, 4 * 25, 25),
-            gen_weights(self.seed ^ 2, 4, 25),
-            1,
-            4,
-            5,
-        );
-        let conv2 = ConvWeights::new(
-            gen_weights(self.seed ^ 3, 8 * 4 * 9, 36),
-            gen_weights(self.seed ^ 4, 8, 36),
-            4,
-            8,
-            3,
-        );
-        let fc_w: Vec<F> = gen_weights(self.seed ^ 5, 10 * 32, 32);
-        let fc_b: Vec<F> = gen_weights(self.seed ^ 6, 10, 32);
-
-        let x = conv2d(&input, &conv1, hook); // 4 x 12 x 12
-        let x = relu(&x, hook);
-        let x = maxpool2(&x, hook); // 4 x 6 x 6
-        let x = conv2d(&x, &conv2, hook); // 8 x 4 x 4
-        let x = relu(&x, hook);
-        let x = maxpool2(&x, hook); // 8 x 2 x 2
-        let logits = dense(x.as_slice(), &fc_w, &fc_b, hook);
-        logits.iter().map(|v| v.to_f64()).collect()
     }
 
     /// Fraction of a synthetic digit batch on which the fault-free
@@ -128,20 +103,61 @@ impl Default for Mnist {
     }
 }
 
+impl Network for Mnist {
+    fn nets(&self) -> &NetCache {
+        &self.nets
+    }
+
+    fn build<F: FloatExt>(&self) -> Net<F> {
+        let conv = |seed: u64, in_ch: usize, out_ch: usize, k: usize| {
+            let fan_in = in_ch * k * k;
+            Stage::Conv(ConvWeights::new(
+                gen_weights(self.seed ^ seed, out_ch * fan_in, fan_in),
+                gen_weights(self.seed ^ (seed + 1), out_ch, fan_in),
+                in_ch,
+                out_ch,
+                k,
+            ))
+        };
+        Net::new(
+            digit_image(self.digit, self.seed ^ 0xD161, 16),
+            vec![
+                conv(1, 1, 4, 5), // 4 x 12 x 12
+                Stage::Relu,
+                Stage::MaxPool2,  // 4 x 6 x 6
+                conv(3, 4, 8, 3), // 8 x 4 x 4
+                Stage::Relu,
+                Stage::MaxPool2,   // 8 x 2 x 2
+                conv(5, 8, 10, 2), // dense 32 -> 10
+            ],
+        )
+    }
+}
+
 impl Workload for Mnist {
     fn name(&self) -> &str {
         "MNIST"
     }
 
     fn dispatch(&self, precision: Precision, hook: &mut dyn FaultHook) -> Vec<f64> {
-        crate::dispatch_precision!(self, precision, hook)
+        dispatch_precision!(self, precision, hook)
+    }
+
+    fn run_from_site_into(
+        &self,
+        precision: Precision,
+        site: u64,
+        fault: ValueFault,
+        golden: &[f64],
+        out: &mut Vec<f64>,
+    ) {
+        self.strike(precision, site, fault, golden, out);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpr_fault::ValueFault;
 
     #[test]
     fn outputs_ten_finite_logits() {

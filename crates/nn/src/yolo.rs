@@ -1,10 +1,11 @@
 //! The TinyYolo single-shot detector.
 
-use crate::layers::{conv2d, leaky_relu, maxpool2, sigmoid, ConvWeights};
+use crate::layers::ConvWeights;
+use crate::stages::{Net, NetCache, Network, Stage};
 use crate::synth::{gen_weights, scene_image};
-use crate::{Detection, Tensor};
+use crate::Detection;
 use mpr_fault::hook::FaultHook;
-use mpr_fault::Workload;
+use mpr_fault::{dispatch_precision, ValueFault, Workload};
 use mpr_softfloat::{FloatExt, Precision};
 
 /// Grid side of the detection head.
@@ -20,11 +21,14 @@ const SCORE_THRESHOLD: f64 = 0.55;
 /// A compact YOLO-style single-shot detector, the stand-in for the
 /// paper's YOLOv3 runs (Section 3.1).
 ///
-/// Backbone: `conv 3->8 (3x3)` + leaky ReLU + pool, `conv 8->16 (3x3)` +
-/// leaky ReLU; head: `conv 16->8 (1x1)` onto a 5x5 grid, one box per
-/// cell with objectness and class scores squashed by an in-precision
-/// sigmoid (GPUs evaluate the exponential in software, so its
-/// intermediates are fault sites).
+/// Backbone (on a 3x14x14 scene): `conv 3->8 (3x3)` + leaky ReLU +
+/// 2x2 max pool, `conv 8->16 (3x3)` + leaky ReLU onto a 4x4 map; head:
+/// `conv 16->11 (1x1)` sampled at each cell of a 5x5 anchor grid (the
+/// last row and column clamp onto the map's edge), one box per cell:
+/// objectness, 4 box terms and 6 class scores. Objectness, the box
+/// offsets and the class scores are squashed by an in-precision sigmoid
+/// (GPUs evaluate the exponential in software, so its intermediates are
+/// fault sites); the box width and height stay raw.
 ///
 /// As a [`Workload`] its output is the raw head tensor; decode with
 /// [`TinyYolo::decode`] and score SDCs with
@@ -47,6 +51,7 @@ const SCORE_THRESHOLD: f64 = 0.55;
 pub struct TinyYolo {
     seed: u64,
     scene: u64,
+    nets: NetCache,
 }
 
 impl TinyYolo {
@@ -58,85 +63,22 @@ impl TinyYolo {
         TinyYolo {
             seed: 0x3CBF,
             scene: 5,
+            nets: NetCache::default(),
         }
     }
 
     /// Selects a different synthetic scene.
     pub fn with_scene(mut self, scene: u64) -> TinyYolo {
         self.scene = scene;
+        self.nets = NetCache::default();
         self
     }
 
     /// Overrides the weight seed.
     pub fn with_seed(mut self, seed: u64) -> TinyYolo {
         self.seed = seed;
+        self.nets = NetCache::default();
         self
-    }
-
-    fn run<F: FloatExt>(&self, hook: &mut dyn FaultHook) -> Vec<f64> {
-        let input: Tensor<F> = scene_image(self.scene, 14, 2);
-
-        let conv1 = ConvWeights::new(
-            gen_weights(self.seed ^ 1, 8 * 3 * 9, 27),
-            gen_weights(self.seed ^ 2, 8, 27),
-            3,
-            8,
-            3,
-        );
-        let conv2 = ConvWeights::new(
-            gen_weights(self.seed ^ 3, 16 * 8 * 9, 72),
-            gen_weights(self.seed ^ 4, 16, 72),
-            8,
-            16,
-            3,
-        );
-        let mut head_kernels: Vec<F> = gen_weights(self.seed ^ 5, HEAD_CH * 16, 16);
-        let mut head_biases: Vec<F> = gen_weights(self.seed ^ 6, HEAD_CH, 16);
-        // A trained detector is *confident*: objectness saturates toward
-        // 0/1 instead of skimming the threshold. Widen the objectness
-        // logit range by scaling its head channel; class channels stay at
-        // unit scale so their posteriors compete closely (near-confusable
-        // categories), as in a real multi-class detector.
-        let obj_gain = F::from_f64(20.0);
-        for w in head_kernels.iter_mut().take(16) {
-            // mpr-allow: fault-site -- weight synthesis precedes injection; campaigns count sites from the first conv2d
-            *w *= obj_gain;
-        }
-        head_biases[0] *= obj_gain;
-        let head = ConvWeights::new(head_kernels, head_biases, 16, HEAD_CH, 1);
-
-        let x = conv2d(&input, &conv1, hook); // 8 x 12 x 12
-        let x = leaky_relu(&x, hook);
-        let x = maxpool2(&x, hook); // 8 x 6 x 6... pooled from 12
-        let x = conv2d(&x, &conv2, hook); // 16 x 4 x 4
-        let x = leaky_relu(&x, hook);
-        // Upsample-free head: GRID must match the spatial size plus one
-        // ring, so run the head per cell over a 5x5 sampling of the 4x4
-        // map with clamped coordinates (a cheap anchor grid).
-        let mut out = Vec::with_capacity(HEAD_CH * GRID * GRID);
-        let (_, fh, fw) = x.shape();
-        for gy in 0..GRID {
-            for gx in 0..GRID {
-                let sy = gy.min(fh - 1);
-                let sx = gx.min(fw - 1);
-                for ch in 0..HEAD_CH {
-                    // 1x1 convolution at the sampled cell.
-                    let mut acc: F = head.biases[ch];
-                    for i in 0..16 {
-                        acc = hook.touch(head.kernels[ch * 16 + i].mul_add(x.get(i, sy, sx), acc));
-                    }
-                    // Squash objectness, offsets, and class scores; leave
-                    // width/height terms raw (channels 3, 4).
-                    let v = if ch == 3 || ch == 4 {
-                        hook.touch(acc)
-                    } else {
-                        sigmoid(acc, hook)
-                    };
-                    out.push(v.to_f64());
-                }
-            }
-        }
-        out
     }
 
     /// Decodes a raw head output (as produced by the workload run) into
@@ -192,13 +134,70 @@ impl Default for TinyYolo {
     }
 }
 
+impl Network for TinyYolo {
+    fn nets(&self) -> &NetCache {
+        &self.nets
+    }
+
+    fn build<F: FloatExt>(&self) -> Net<F> {
+        let conv = |seed: u64, in_ch: usize, out_ch: usize| {
+            let fan_in = in_ch * 9;
+            ConvWeights::new(
+                gen_weights(self.seed ^ seed, out_ch * fan_in, fan_in),
+                gen_weights(self.seed ^ (seed + 1), out_ch, fan_in),
+                in_ch,
+                out_ch,
+                3,
+            )
+        };
+        let mut head_kernels: Vec<F> = gen_weights(self.seed ^ 5, HEAD_CH * 16, 16);
+        let mut head_biases: Vec<F> = gen_weights(self.seed ^ 6, HEAD_CH, 16);
+        // A trained detector is *confident*: objectness saturates toward
+        // 0/1 instead of skimming the threshold. Widen the objectness
+        // logit range by scaling its head channel; class channels stay at
+        // unit scale so their posteriors compete closely (near-confusable
+        // categories), as in a real multi-class detector.
+        let obj_gain = F::from_f64(20.0);
+        for w in head_kernels.iter_mut().take(16) {
+            // mpr-allow: fault-site -- weight synthesis precedes injection; campaigns count sites from the first conv2d
+            *w *= obj_gain;
+        }
+        head_biases[0] *= obj_gain;
+        Net::new(
+            scene_image(self.scene, 14, 2),
+            vec![
+                Stage::Conv(conv(1, 3, 8)), // 8 x 12 x 12
+                Stage::LeakyRelu,
+                Stage::MaxPool2,             // 8 x 6 x 6
+                Stage::Conv(conv(3, 8, 16)), // 16 x 4 x 4
+                Stage::LeakyRelu,
+                Stage::Head {
+                    weights: ConvWeights::new(head_kernels, head_biases, 16, HEAD_CH, 1),
+                    grid: GRID,
+                },
+            ],
+        )
+    }
+}
+
 impl Workload for TinyYolo {
     fn name(&self) -> &str {
         "YOLOv3"
     }
 
     fn dispatch(&self, precision: Precision, hook: &mut dyn FaultHook) -> Vec<f64> {
-        crate::dispatch_precision!(self, precision, hook)
+        dispatch_precision!(self, precision, hook)
+    }
+
+    fn run_from_site_into(
+        &self,
+        precision: Precision,
+        site: u64,
+        fault: ValueFault,
+        golden: &[f64],
+        out: &mut Vec<f64>,
+    ) {
+        self.strike(precision, site, fault, golden, out);
     }
 }
 
@@ -206,7 +205,6 @@ impl Workload for TinyYolo {
 mod tests {
     use super::*;
     use crate::{classify_detections, DetectionImpact};
-    use mpr_fault::ValueFault;
 
     #[test]
     fn head_output_has_the_declared_shape() {

@@ -11,10 +11,13 @@
 
 use mixed_precision_reliability::arch::{Fpga, VoltaGpu};
 use mixed_precision_reliability::beam::{BeamCampaign, BeamSession};
-use mixed_precision_reliability::fault::InjectionCampaign;
+use mixed_precision_reliability::fault::{FaultModel, InjectionCampaign, ValueFault, Workload};
 use mixed_precision_reliability::kernels::{profiles, Gemm, Lud};
-use mixed_precision_reliability::obs::fnv1a64;
+use mixed_precision_reliability::nn::{Mnist, TinyYolo};
+use mixed_precision_reliability::obs::{fnv1a64, mix_seed};
 use mixed_precision_reliability::softfloat::Precision;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// FNV-1a over the little-endian bit patterns — bit-exact, NaN-safe.
 fn hash_f64s(v: &[f64]) -> u64 {
@@ -119,6 +122,56 @@ fn beam_results_are_invariant_to_batch_size_and_threads() {
                     run(threads, batch),
                     baseline,
                     "{name}: beam results moved at threads={threads} batch={batch}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn network_strike_batches_deliver_every_index_in_any_arrival_order() {
+    // A strike batch in shuffled site order (stage boundaries crossed
+    // both ways, past-the-end sites included): every index arrives
+    // exactly once, byte-identical to the full rerun of its strike.
+    let mnist = Mnist::new().with_seed(mix_seed(2019, 0x313));
+    let yolo = TinyYolo::new();
+    let nets: [&dyn Workload; 2] = [&mnist, &yolo];
+    for w in nets {
+        for precision in Precision::ALL {
+            let sites = w.site_count(precision);
+            let golden = w.run_golden(precision);
+            let mut rng = StdRng::seed_from_u64(mix_seed(0xBA7C, sites));
+            // Every other strike flips a high exponent bit, so most of
+            // those propagate past the pools instead of masking early.
+            let width = precision.total_bits();
+            let strikes: Vec<(u64, ValueFault)> = (0..40)
+                .map(|i| {
+                    let site = rng.gen_range(0..sites + 16);
+                    let fault = if i % 2 == 0 {
+                        FaultModel::SingleBit.sample(width, &mut rng)
+                    } else {
+                        ValueFault::BitFlip(width - 2)
+                    };
+                    (site, fault)
+                })
+                .collect();
+            let mut seen: Vec<Option<Vec<u64>>> = vec![None; strikes.len()];
+            w.run_strike_batch(precision, &strikes, &golden, &mut |index, out| {
+                assert!(seen[index].is_none(), "strike {index} delivered twice");
+                seen[index] = Some(out.iter().map(|v| v.to_bits()).collect());
+                true
+            });
+            for (index, &(site, fault)) in strikes.iter().enumerate() {
+                let want: Vec<u64> = w
+                    .run_with_fault(precision, site, fault)
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect();
+                assert_eq!(
+                    seen[index].as_ref(),
+                    Some(&want),
+                    "{} {precision} strike {index} (site {site}, {fault:?})",
+                    w.name()
                 );
             }
         }

@@ -4,18 +4,21 @@
 //!
 //! Three layers of evidence:
 //!
-//! 1. a differential sweep — every workload x supported precision x a
-//!    deterministic spread of fault sites (region boundaries included)
-//!    x every fault shape, fast vs naive, compared bit-for-bit;
+//! 1. a differential sweep — every workload (the kernels and both
+//!    networks) x supported precision x a deterministic spread of fault
+//!    sites (region and stage boundaries included) x every fault shape,
+//!    fast vs naive, compared bit-for-bit;
 //! 2. pinned fingerprints — golden outputs, campaign severity vectors
 //!    (threads 1/2/5), and beam cross-section counts hashed against
-//!    values captured from the pre-fast-path implementation;
+//!    values captured from the pre-fast-path implementation, plus the
+//!    MNIST and YOLO beam campaigns at every precision (threads 1/2)
+//!    captured before the networks' layer-local replay;
 //! 3. the experiment engine's on-disk cache bytes, hashed against the
 //!    pre-fast-path bytes under the unchanged `KEY_VERSION` ("v2") —
 //!    the fast path earns zero cache invalidation.
 
 use mixed_precision_reliability::arch::{Fpga, VoltaGpu};
-use mixed_precision_reliability::beam::{BeamCampaign, BeamSession};
+use mixed_precision_reliability::beam::{BeamCampaign, BeamSession, CampaignResult};
 use mixed_precision_reliability::exp::{
     CellKey, CellKind, ClassifierId, DeviceId, Engine, ResultStore, SamplingPlan, WorkloadId,
     KEY_VERSION,
@@ -23,7 +26,8 @@ use mixed_precision_reliability::exp::{
 use mixed_precision_reliability::fault::hook::FaultHook;
 use mixed_precision_reliability::fault::{FaultModel, InjectionCampaign, ValueFault, Workload};
 use mixed_precision_reliability::kernels::{profiles, Gemm, LavaMd, Lud, Micro, MicroKernelOp};
-use mixed_precision_reliability::obs::fnv1a64;
+use mixed_precision_reliability::nn::{profiles as nn_profiles, Mnist, TinyYolo};
+use mixed_precision_reliability::obs::{fnv1a64, mix_seed};
 use mixed_precision_reliability::softfloat::Precision;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -89,6 +93,27 @@ fn fault_shapes(width: u32) -> Vec<ValueFault> {
     ]
 }
 
+/// First site of every stage after the first, for the two networks:
+/// MNIST's conv 1->4 5x5 (576 chains of 25), ReLU (576), pool (144),
+/// conv 4->8 3x3 (128 chains of 36), ReLU (128), pool (32) and dense
+/// 32->10 (10 chains of 32), and YOLO's conv 3->8 3x3 (1152 chains of
+/// 27), leaky ReLU (1152), pool (288), conv 8->16 3x3 (256 chains of
+/// 72) and leaky ReLU (256) ahead of the value-dependent head.
+const MNIST_STAGE_STARTS: [u64; 6] = [14400, 14976, 15120, 19728, 19856, 19888];
+const YOLO_STAGE_STARTS: [u64; 5] = [31104, 32256, 32544, 50976, 51232];
+
+/// Every stage boundary and its two neighbours; with a detection head
+/// (the last stage, from the last start to `site_count`), also 24 sites
+/// spread over the head's FMA chains, raw box terms and sigmoid
+/// polynomials.
+fn boundary_sites(starts: &[u64], head: bool, site_count: u64) -> Vec<u64> {
+    let mut sites: Vec<u64> = starts.iter().flat_map(|&b| [b - 1, b, b + 1]).collect();
+    if let (true, Some(&first)) = (head, starts.last()) {
+        sites.extend((0..24).map(|k| first + k * (site_count - first) / 24));
+    }
+    sites
+}
+
 #[test]
 fn fast_path_is_bit_identical_to_naive_everywhere() {
     let gemm = Gemm::new(8);
@@ -96,9 +121,22 @@ fn fast_path_is_bit_identical_to_naive_everywhere() {
     let lava = LavaMd::new(2, 2);
     let lava_knc = LavaMd::new(2, 2).for_knc();
     let micro = Micro::new(MicroKernelOp::Fma, 4, 64);
-    let workloads: [&dyn Workload; 5] = [&gemm, &lud, &lava, &lava_knc, &micro];
+    let mnist = Mnist::new();
+    let mnist_study = Mnist::new().with_seed(mix_seed(2019, 0x313));
+    let yolo = TinyYolo::new();
+    // (workload, stage starts, whether the last stage is a head)
+    let workloads: [(&dyn Workload, &[u64], bool); 8] = [
+        (&gemm, &[], false),
+        (&lud, &[], false),
+        (&lava, &[], false),
+        (&lava_knc, &[], false),
+        (&micro, &[], false),
+        (&mnist, &MNIST_STAGE_STARTS, false),
+        (&mnist_study, &MNIST_STAGE_STARTS, false),
+        (&yolo, &YOLO_STAGE_STARTS, true),
+    ];
 
-    for w in workloads {
+    for (w, starts, head) in workloads {
         let naive = ForceNaive(w);
         for p in Precision::ALL {
             if !w.supports(p) {
@@ -116,8 +154,15 @@ fn fast_path_is_bit_identical_to_naive_everywhere() {
             let sc = w.site_count(p);
             assert_eq!(sc, naive.site_count(p), "{} {p}: site count", w.name());
 
+            assert!(
+                starts.last().is_none_or(|&last| last < sc),
+                "{} {p}: stage starts past the site count {sc}",
+                w.name()
+            );
+            let mut sites = site_sample(sc);
+            sites.extend(boundary_sites(starts, head, sc));
             let mut out = Vec::new();
-            for site in site_sample(sc) {
+            for site in sites {
                 for fault in fault_shapes(p.total_bits()) {
                     let want = naive.run_with_fault(p, site, fault);
                     w.run_from_site_into(p, site, fault, &golden, &mut out);
@@ -181,6 +226,32 @@ fn golden_fingerprints_match_the_pre_fast_path_implementation() {
         hash_f64s(&micro.run_golden(Precision::Half)),
         0x73ab71fc17a6aff6
     );
+
+    // The networks, captured from the full-rerun implementation before
+    // the stage list and layer-local replay replaced it.
+    let mnist = Mnist::new();
+    let mnist_study = Mnist::new().with_seed(mix_seed(2019, 0x313));
+    let yolo = TinyYolo::new();
+    let pins: [(&dyn Workload, Precision, u64, u64); 9] = [
+        (&mnist, Precision::Double, 20208, 0x39bcdd32a0bb9229),
+        (&mnist, Precision::Single, 20208, 0x43342cb75c0bfbdd),
+        (&mnist, Precision::Half, 20208, 0xb6cdbbcc4dcffce1),
+        (&mnist_study, Precision::Double, 20208, 0xd7de59a4ea46dac9),
+        (&mnist_study, Precision::Single, 20208, 0xbfcba09f95ca80c6),
+        (&mnist_study, Precision::Half, 20208, 0x3c921289e94a6f50),
+        (&yolo, Precision::Double, 59732, 0x37af0853b89e84ac),
+        (&yolo, Precision::Single, 58382, 0x825aba7f61216798),
+        (&yolo, Precision::Half, 57707, 0xa6aa157ef9b823f7),
+    ];
+    for (w, p, sites, hash) in pins {
+        assert_eq!(w.site_count(p), sites, "{} {p} site count moved", w.name());
+        assert_eq!(
+            hash_f64s(&w.run_golden(p)),
+            hash,
+            "{} {p} golden bits moved",
+            w.name()
+        );
+    }
 }
 
 #[test]
@@ -252,6 +323,143 @@ fn beam_campaigns_reproduce_pinned_results_across_threads() {
         .run();
     assert_eq!((r.candidates, r.sdc.events()), (141, 140));
     assert_eq!(hash_f64s(&r.severities), 0x6082250a062807dd);
+}
+
+/// One beam campaign's fingerprint: candidates, executed, SDC and DUE
+/// events, the SDC fluence bits, the severity bits and the labels.
+type BeamFingerprint = (u64, u64, u64, u64, u64, u64, u64);
+
+fn beam_fingerprint(r: &CampaignResult) -> BeamFingerprint {
+    (
+        r.candidates,
+        r.executed,
+        r.sdc.events(),
+        r.due.events(),
+        r.sdc.fluence().to_bits(),
+        hash_f64s(&r.severities),
+        fnv1a64(r.labels.join(",").as_bytes()),
+    )
+}
+
+#[test]
+fn dnn_beam_campaigns_reproduce_pinned_results_across_threads() {
+    // MNIST (the study's weight seed) on the Zynq and YOLO on the Titan
+    // V, at every precision, quick session, with the domain classifier
+    // each study cell attaches — captured from the full-rerun DNN path
+    // before the layer-local replay existed.
+    let mnist = Mnist::new().with_seed(mix_seed(2019, 0x313));
+    let yolo = TinyYolo::new();
+    let fpga = Fpga::zynq7000();
+    let gpu = VoltaGpu::titan_v();
+    let (mnist_profile, yolo_profile) = (nn_profiles::mnist_fpga(), nn_profiles::yolo_gpu());
+    let mnist_classify = ClassifierId::MnistLogits
+        .classifier()
+        .expect("mnist classifier");
+    let yolo_classify = ClassifierId::YoloDetections
+        .classifier()
+        .expect("yolo classifier");
+    let pins: [(&str, Precision, BeamFingerprint); 6] = [
+        (
+            "mnist",
+            Precision::Double,
+            (
+                303,
+                303,
+                31,
+                0,
+                0x3f10c3a72ab5a815,
+                0x844ddca0ee15b378,
+                0xc90c47ae9761359b,
+            ),
+        ),
+        (
+            "mnist",
+            Precision::Single,
+            (
+                303,
+                303,
+                30,
+                0,
+                0x3f21d5969a5f3589,
+                0xc8f2f1da2c9bfbb0,
+                0x9cdd2a80baba0011,
+            ),
+        ),
+        (
+            "mnist",
+            Precision::Half,
+            (
+                303,
+                303,
+                39,
+                0,
+                0x3f2819b6c2c5d9a5,
+                0x02d8290473417a7a,
+                0xa5d95e9b9e1f7ff4,
+            ),
+        ),
+        (
+            "yolo",
+            Precision::Double,
+            (
+                303,
+                303,
+                174,
+                75,
+                0x3eb9d0ee0605d46b,
+                0xc078f502420dcf9c,
+                0x3e84ca39229c4abc,
+            ),
+        ),
+        (
+            "yolo",
+            Precision::Single,
+            (
+                303,
+                303,
+                176,
+                92,
+                0x3ebfc8d889c9bc3e,
+                0x62f2de08f575f1d9,
+                0x97cdf4007183ae3c,
+            ),
+        ),
+        (
+            "yolo",
+            Precision::Half,
+            (
+                303,
+                303,
+                168,
+                121,
+                0x3ec4e332773efb37,
+                0xcfec85433559594c,
+                0x3c66eb119847c61b,
+            ),
+        ),
+    ];
+    for (net, precision, want) in pins {
+        for threads in [1usize, 2] {
+            let mut session = BeamSession::quick(17);
+            session.threads = threads;
+            let r = if net == "mnist" {
+                BeamCampaign::new(&fpga, &mnist, &mnist_profile, precision)
+                    .session(session)
+                    .classifier(mnist_classify)
+                    .run()
+            } else {
+                BeamCampaign::new(&gpu, &yolo, &yolo_profile, precision)
+                    .session(session)
+                    .classifier(yolo_classify)
+                    .run()
+            };
+            assert_eq!(
+                beam_fingerprint(&r),
+                want,
+                "{net} {precision} beam results moved at threads={threads}"
+            );
+        }
+    }
 }
 
 #[test]
